@@ -17,7 +17,7 @@
 //! capacity. DESIGN.md records this as a deliberate model choice.
 
 use crate::ops::{IbOperation, Level};
-use mpls_rtl::{Clocked, CounterCtl, SyncMemory, UpDownCounter};
+use mpls_rtl::{Clocked, Comparator, CounterCtl, SyncMemory, UpDownCounter};
 
 /// Capacity of each level: "1 KB long" memory components hold 1024 entries.
 pub const LEVEL_CAPACITY: usize = 1024;
@@ -107,6 +107,34 @@ impl InfoBaseLevel {
     /// Stages a read-counter clear (start of a search).
     pub fn stage_clear_cursor(&mut self) {
         self.read_ctr.control(CounterCtl::Clear);
+    }
+
+    /// Skips the undecided read/wait/compare triples of a search for `key`
+    /// compared at `width` bits, starting at the read cursor.
+    ///
+    /// The first slot `j` at or after the cursor whose compare ends the
+    /// search is either the match or the last stored pair. The level is
+    /// left as if the `n` triples before it had been clocked: the read
+    /// counter holds `j` and the three outputs hold slot `j - 1`. Returns
+    /// `n`; with `n == 0` nothing changes. Must only be called at the
+    /// start of a `READ` cycle, when nothing is staged.
+    pub(crate) fn skip_undecided(&mut self, key: u64, width: u32) -> u64 {
+        let from = self.read_index();
+        let last = self.occupancy() as u64 - 1;
+        let mut j = from;
+        while j < last && !Comparator::compare(width, self.index_mem.peek(j as usize), key) {
+            j += 1;
+        }
+        let n = j - from;
+        if n > 0 {
+            self.read_ctr.control(CounterCtl::Load(j));
+            self.read_ctr.tick();
+            for mem in [&mut self.index_mem, &mut self.label_mem, &mut self.op_mem] {
+                mem.set_read_addr(j - 1);
+                mem.tick();
+            }
+        }
+        n
     }
 
     /// Registered output of the index component.

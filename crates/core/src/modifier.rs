@@ -21,6 +21,15 @@
 //! two-cycle dispatch, the one-cycle search start, the three-cycle
 //! read/wait/compare loop imposed by the synchronous RAM's read latency,
 //! the one-cycle output delay and the one-cycle done pulse.
+//!
+//! When no waveform trace is attached, [`LabelStackModifier::execute`]
+//! skips the search triples whose compare cannot end the search (no match,
+//! not the last stored pair) in one step: it jumps the read counter, the
+//! memory outputs and the comparators to where those `3n` cycles would
+//! have left them and adds `3n` to the cycle count and to [`CorePerf`].
+//! Costs, outcomes and counters are unchanged; the deciding triple and
+//! everything after it are clocked as before. [`LabelStackModifier::step`]
+//! always advances exactly one clock, and traced runs sample every cycle.
 
 use crate::datapath::DataPath;
 use crate::fsm::{IbState, LblState, MainState, SearchState};
@@ -314,6 +323,9 @@ impl LabelStackModifier {
 
         let mut cycles = 0u64;
         loop {
+            if self.search == SearchState::Read && self.trace.is_none() {
+                cycles += 3 * self.skip_undecided_search();
+            }
             self.step();
             cycles += 1;
             if cycles > 1 && self.main == MainState::Idle {
@@ -508,6 +520,31 @@ impl LabelStackModifier {
         self.search = search_next;
         self.dp.tick();
         self.total_cycles += 1;
+    }
+
+    /// Jumps over the undecided read/wait/compare triples of the running
+    /// search (see the module docs) and returns how many were skipped.
+    /// The state after the jump is the state `3n` calls to [`Self::step`]
+    /// would have produced, the last skipped compare included.
+    fn skip_undecided_search(&mut self) -> u64 {
+        let key = self.search_key;
+        let cmp = if self.active_level == Level::L1 {
+            &mut self.dp.cmp32
+        } else {
+            &mut self.dp.cmp20
+        };
+        let lv = self.dp.info_base.level_mut(self.active_level);
+        let n = lv.skip_undecided(key, cmp.width());
+        if n == 0 {
+            return 0;
+        }
+        cmp.drive(lv.index_out(), key);
+        self.dp.cmp10.drive(lv.read_index(), lv.occupancy() as u64);
+        if let Some(p) = self.perf.as_deref_mut() {
+            p.tick_search_triples(self.main, self.lbl, self.ib, n);
+        }
+        self.total_cycles += 3 * n;
+        n
     }
 
     fn step_lbl(&mut self, enable: bool, srch_done: bool, item_found: bool) -> LblState {

@@ -99,6 +99,29 @@ impl CorePerf {
         self.search_cycles[search as usize] += 1;
     }
 
+    /// Attributes `n` undecided search triples at once: `3n` cycles to the
+    /// (unchanging) main, label-stack and info-base states, `n` each to
+    /// `READ`, `WAIT FOR INFO` and `COMPARE` — exactly what `3n` calls to
+    /// [`Self::tick`] would record.
+    pub(crate) fn tick_search_triples(
+        &mut self,
+        main: MainState,
+        lbl: LblState,
+        ib: IbState,
+        n: u64,
+    ) {
+        self.main_cycles[main as usize] += 3 * n;
+        self.lbl_cycles[lbl as usize] += 3 * n;
+        self.ib_cycles[ib as usize] += 3 * n;
+        for s in [
+            SearchState::Read,
+            SearchState::WaitInfo,
+            SearchState::Compare,
+        ] {
+            self.search_cycles[s as usize] += n;
+        }
+    }
+
     /// Records one retired search: `depth` entries examined, hit or miss.
     #[inline]
     pub fn record_search(&mut self, depth: u64, hit: bool) {
@@ -206,6 +229,28 @@ mod tests {
         assert_eq!(p.busy_cycles(), 1);
         assert_eq!(p.lbl_cycles[LblState::VerifyInfo as usize], 1);
         assert_eq!(p.search_cycles[SearchState::Compare as usize], 1);
+    }
+
+    #[test]
+    fn search_triples_match_per_cycle_ticks() {
+        let (main, lbl, ib) = (
+            MainState::LblInterfaceActive,
+            LblState::SearchEnable,
+            IbState::Idle,
+        );
+        let mut bulk = CorePerf::default();
+        bulk.tick_search_triples(main, lbl, ib, 4);
+        let mut stepped = CorePerf::default();
+        for _ in 0..4 {
+            for s in [
+                SearchState::Read,
+                SearchState::WaitInfo,
+                SearchState::Compare,
+            ] {
+                stepped.tick(main, lbl, ib, s);
+            }
+        }
+        assert_eq!(bulk.state_cycles(), stepped.state_cycles());
     }
 
     #[test]

@@ -209,18 +209,22 @@ impl EmbeddedRouter {
 
         // Egress packet processing: drain the modifier and splice the new
         // stack into the packet.
-        let mut top_first = Vec::with_capacity(self.modifier.stack_depth());
+        // The hardware stack holds at most EMBEDDED_STACK_DEPTH entries,
+        // so a fixed buffer collects them without a per-hop allocation.
+        let mut top_first = [LabelStackEntry::from_bits(0); EMBEDDED_STACK_DEPTH];
+        let mut popped = 0;
         while self.modifier.stack_depth() > 0 {
             let r = self.modifier.user_pop();
             cycles += r.cycles;
             self.stats.stage_cycles.unload += r.cycles;
             match r.outcome {
-                Outcome::Popped(e) => top_first.push(e),
+                Outcome::Popped(e) => top_first[popped] = e,
                 other => unreachable!("pop of non-empty stack returned {other:?}"),
             }
+            popped += 1;
         }
-        let new_stack =
-            LabelStack::from_entries(&top_first).expect("hardware stack within depth bounds");
+        let new_stack = LabelStack::from_entries(&top_first[..popped])
+            .expect("hardware stack within depth bounds");
         packet.splice_stack(new_stack);
 
         let top = packet.stack.top().map(|e| e.label);
