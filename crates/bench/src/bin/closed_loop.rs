@@ -7,7 +7,7 @@
 //! retransmissions accounted, the visible AIMD reaction (window cuts
 //! and retransmits only in the faulted closed-loop leg, deliveries
 //! past restoration), and serialized report byte-identity across
-//! shards {1, 4} × {barrier, merge} for every leg. The table reads off
+//! shards {1, 4} for every leg. The table reads off
 //! goodput, flow-completion times, ECN/retransmit counts, peak window,
 //! and SLA violations.
 //!

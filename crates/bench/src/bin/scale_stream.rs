@@ -4,7 +4,7 @@
 //! specs, streams the full tunnel mesh + LSP bring-up through the
 //! control plane (one request alive at a time — nothing is enumerated
 //! ahead of signaling), then drives CBR probes over a sampled subset of
-//! the LSPs under the shard × engine matrix.
+//! the LSPs at 1 and 4 shards.
 //!
 //! Certified per family:
 //!
@@ -15,7 +15,7 @@
 //!   attributed to a drop class by the horizon; nothing stays in
 //!   flight.
 //! * **identity** — the serialized report is byte-identical across
-//!   shards {1, 4} under both the barrier and merge engines.
+//!   shards {1, 4}.
 //!
 //! Run: `cargo run --release -p mpls-bench --bin scale-stream`
 //! (`--quick` for the CI smoke subset: ~256-node widths, 64k LSPs;

@@ -3,7 +3,7 @@
 //! One LDP leg and SR legs over max push depth {3, 6, 12} × RLD
 //! {2, 6} on a 36-node fat tree with cross-pod flows and a mid-run
 //! link cut. The section asserts per-flow conservation and serialized
-//! report byte-identity across shards {1, 4} × {barrier, merge} for
+//! report byte-identity across shards {1, 4} for
 //! every SR configuration, then tables state footprint, bring-up and
 //! reconvergence, peak stack depth, ECMP and RLD-violation counts,
 //! and events/s.

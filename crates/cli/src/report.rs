@@ -1,6 +1,6 @@
 //! Plain-text report rendering for scenario runs.
 
-use mpls_net::SimReport;
+use mpls_net::{ControlMode, SimReport};
 
 /// Formats the per-flow report plus link utilization as aligned text.
 pub fn format_report(report: &SimReport) -> String {
@@ -34,7 +34,7 @@ pub fn format_report(report: &SimReport) -> String {
              ({hit_rate:.1}% hit rate)\n"
         ));
     }
-    if report.control.mode == "ldp" {
+    if report.control.mode == ControlMode::Ldp {
         out.push_str(&format!(
             "  ldp: {} sessions up, {} expired, {} PDUs sent ({} delivered, {} lost), \
              {} loop rejections\n",
@@ -188,8 +188,7 @@ mod tests {
         assert!(text.contains("utilized"));
         assert!(!text.contains("faults:"), "no fault section without faults");
         assert!(text.contains("control: centralized"));
-        // Shard count follows MPLS_SIM_SHARDS and the kind follows
-        // MPLS_SIM_ENGINE, so only assert the shape.
+        // Shard count follows MPLS_SIM_SHARDS, so only assert the shape.
         assert!(text.starts_with("engine: "));
         assert!(text.contains("rounds"));
         assert!(!text.contains("ldp:"), "no ldp block on centralized runs");

@@ -66,6 +66,14 @@ fn parse_ip(s: &str) -> Result<u32, ScenarioError> {
     parse_addr(s).ok_or_else(|| ScenarioError::Invalid(format!("bad address {s:?}")))
 }
 
+/// `value * factor` for a unit conversion (ms or µs to ns, Mbit/s to
+/// bit/s), or an error naming `field` when the product overflows `u64`.
+fn scaled(value: u64, factor: u64, field: &str) -> Result<u64, ScenarioError> {
+    value
+        .checked_mul(factor)
+        .ok_or_else(|| ScenarioError::Invalid(format!("{field} {value} is out of range")))
+}
+
 /// Top-level scenario document.
 ///
 /// Implements `Serialize` as well: the chaos harness shrinks failing
@@ -140,12 +148,6 @@ pub struct Scenario {
     /// is identical at any value — sharding only trades wall-clock time.
     #[serde(default)]
     pub shards: Option<usize>,
-    /// Execution engine: `"barrier"` (global epoch barrier, the
-    /// default) or `"merge"` (channel-merge scheduler with per-shard
-    /// conservative bounds). `--engine` overrides. The report is
-    /// byte-identical either way — the engine only trades wall-clock.
-    #[serde(default)]
-    pub engine: Option<String>,
 }
 
 fn default_horizon_ms() -> u64 {
@@ -265,11 +267,11 @@ impl TopologyDecl {
             tunnel_strides: self.tunnel_strides,
             flows: self.flows,
             payload_bytes: self.payload_bytes,
-            flow_interval_ns: self.flow_interval_us * 1_000,
-            flow_start_ns: self.flow_start_ms * 1_000_000,
-            flow_stop_ns: self.flow_stop_ms * 1_000_000,
-            bandwidth_bps: self.bandwidth_mbps * 1_000_000,
-            delay_ns: self.delay_us * 1_000,
+            flow_interval_ns: scaled(self.flow_interval_us, 1_000, "topology flow_interval_us")?,
+            flow_start_ns: scaled(self.flow_start_ms, 1_000_000, "topology flow_start_ms")?,
+            flow_stop_ns: scaled(self.flow_stop_ms, 1_000_000, "topology flow_stop_ms")?,
+            bandwidth_bps: scaled(self.bandwidth_mbps, 1_000_000, "topology bandwidth_mbps")?,
+            delay_ns: scaled(self.delay_us, 1_000, "topology delay_us")?,
             seed,
         })
     }
@@ -853,23 +855,23 @@ impl Default for ClosedLoopDecl {
 }
 
 impl ClosedLoopDecl {
-    fn to_spec(self) -> ClosedLoopSpec {
-        ClosedLoopSpec {
-            mean_arrival_ns: self.mean_arrival_us * 1_000,
+    fn to_spec(self) -> Result<ClosedLoopSpec, ScenarioError> {
+        Ok(ClosedLoopSpec {
+            mean_arrival_ns: scaled(self.mean_arrival_us, 1_000, "mean_arrival_us")?,
             size_min_pkts: self.size_min_pkts,
             size_max_pkts: self.size_max_pkts,
             size_alpha_milli: self.size_alpha_milli,
             max_cwnd: self.max_cwnd,
-            rto_ns: self.rto_us * 1_000,
+            rto_ns: scaled(self.rto_us, 1_000, "rto_us")?,
             ecn_threshold: self.ecn_threshold,
-            pacing_ns: self.pacing_us * 1_000,
-            sla_fct_ns: self.sla_fct_ms * 1_000_000,
-            diurnal_period_ns: self.diurnal_period_ms * 1_000_000,
+            pacing_ns: scaled(self.pacing_us, 1_000, "pacing_us")?,
+            sla_fct_ns: scaled(self.sla_fct_ms, 1_000_000, "sla_fct_ms")?,
+            diurnal_period_ns: scaled(self.diurnal_period_ms, 1_000_000, "diurnal_period_ms")?,
             diurnal_trough_pct: self.diurnal_trough_pct,
-            flash_start_ns: self.flash_start_ms * 1_000_000,
-            flash_duration_ns: self.flash_duration_ms * 1_000_000,
+            flash_start_ns: scaled(self.flash_start_ms, 1_000_000, "flash_start_ms")?,
+            flash_duration_ns: scaled(self.flash_duration_ms, 1_000_000, "flash_duration_ms")?,
             flash_multiplier_pct: self.flash_multiplier_pct,
-        }
+        })
     }
 }
 
@@ -1062,8 +1064,8 @@ impl Scenario {
                 a: l.a,
                 b: l.b,
                 cost: l.cost,
-                bandwidth_bps: l.bandwidth_mbps * 1_000_000,
-                delay_ns: l.delay_us * 1_000,
+                bandwidth_bps: scaled(l.bandwidth_mbps, 1_000_000, "link bandwidth_mbps")?,
+                delay_ns: scaled(l.delay_us, 1_000, "link delay_us")?,
             });
         }
         let mut cp = ControlPlane::new(topo);
@@ -1077,7 +1079,7 @@ impl Scenario {
                 fec: parse_prefix(&l.fec)?,
                 cos: CosBits::new(l.cos)
                     .map_err(|e| ScenarioError::Invalid(format!("lsp #{i}: {e}")))?,
-                bandwidth_bps: l.bandwidth_mbps * 1_000_000,
+                bandwidth_bps: scaled(l.bandwidth_mbps, 1_000_000, "lsp bandwidth_mbps")?,
                 explicit_route: l.explicit_route.clone(),
                 php: l.php,
             };
@@ -1114,11 +1116,11 @@ impl Scenario {
                 .ok_or_else(|| ScenarioError::Invalid(format!("no link between {a} and {b}")))
         };
         let mut plan = FaultPlan::new(RestorationPolicy {
-            detection_delay_ns: f.detection_delay_us * 1_000,
-            resignal_delay_ns: f.resignal_delay_us * 1_000,
+            detection_delay_ns: scaled(f.detection_delay_us, 1_000, "detection_delay_us")?,
+            resignal_delay_ns: scaled(f.resignal_delay_us, 1_000, "resignal_delay_us")?,
             backoff_factor: f.backoff_factor,
             max_retries: f.max_retries,
-            hold_down_ns: f.hold_down_ms * 1_000_000,
+            hold_down_ns: scaled(f.hold_down_ms, 1_000_000, "hold_down_ms")?,
             mode,
         });
         let node_of = |n: u32| -> Result<u32, ScenarioError> {
@@ -1129,27 +1131,28 @@ impl Scenario {
             }
         };
         for ev in &f.events {
+            let at = |at_ms: u64| scaled(at_ms, 1_000_000, "fault event at_ms");
             match *ev {
                 FaultEventDecl::LinkDown { at_ms, a, b } => {
-                    plan.link_down(at_ms * 1_000_000, link_of(a, b)?);
+                    plan.link_down(at(at_ms)?, link_of(a, b)?);
                 }
                 FaultEventDecl::LinkUp { at_ms, a, b } => {
-                    plan.link_up(at_ms * 1_000_000, link_of(a, b)?);
+                    plan.link_up(at(at_ms)?, link_of(a, b)?);
                 }
                 FaultEventDecl::NodeDown { at_ms, node } => {
-                    plan.node_down(at_ms * 1_000_000, node_of(node)?);
+                    plan.node_down(at(at_ms)?, node_of(node)?);
                 }
                 FaultEventDecl::NodeUp { at_ms, node } => {
-                    plan.node_up(at_ms * 1_000_000, node_of(node)?);
+                    plan.node_up(at(at_ms)?, node_of(node)?);
                 }
                 FaultEventDecl::PartitionStart { at_ms, a, b } => {
                     // Window builders demand start < end; scheduled
                     // endpoints arrive separately here, so push the raw
                     // events instead.
-                    plan.partition_start(at_ms * 1_000_000, link_of(a, b)?);
+                    plan.partition_start(at(at_ms)?, link_of(a, b)?);
                 }
                 FaultEventDecl::PartitionEnd { at_ms, a, b } => {
-                    plan.partition_end(at_ms * 1_000_000, link_of(a, b)?);
+                    plan.partition_end(at(at_ms)?, link_of(a, b)?);
                 }
             }
         }
@@ -1187,8 +1190,8 @@ impl Scenario {
                 duplicate: c.duplicate,
                 reorder: c.reorder,
                 corrupt: c.corrupt,
-                from_ns: c.from_ms * 1_000_000,
-                until_ns: c.until_ms * 1_000_000,
+                from_ns: scaled(c.from_ms, 1_000_000, "pdu_chaos from_ms")?,
+                until_ns: scaled(c.until_ms, 1_000_000, "pdu_chaos until_ms")?,
             });
         }
         Ok(Some(plan))
@@ -1247,28 +1250,30 @@ impl Scenario {
             } else {
                 s.classes
                     .iter()
-                    .map(|c| SlaClass {
-                        name: c.name.clone(),
-                        precedence: c.precedence & 0x7,
-                        weight_pct: c.weight_pct,
-                        sla_fct_ns: c.sla_fct_ms * 1_000_000,
-                        payload_bytes: c.payload_bytes,
+                    .map(|c| {
+                        Ok(SlaClass {
+                            name: c.name.clone(),
+                            precedence: c.precedence & 0x7,
+                            weight_pct: c.weight_pct,
+                            sla_fct_ns: scaled(c.sla_fct_ms, 1_000_000, "class sla_fct_ms")?,
+                            payload_bytes: c.payload_bytes,
+                        })
                     })
-                    .collect()
+                    .collect::<Result<_, ScenarioError>>()?
             };
             let model = SubscriberModel {
                 name: s.name.clone(),
                 subscribers: s.subscribers,
-                mean_think_ns: s.mean_think_ms * 1_000_000,
-                base: s.base.to_spec(),
+                mean_think_ns: scaled(s.mean_think_ms, 1_000_000, "mean_think_ms")?,
+                base: s.base.to_spec()?,
                 classes,
             };
             flows.extend(model.flows(
                 s.ingress,
                 parse_ip(&s.src)?,
                 parse_ip(&s.dst)?,
-                s.start_ms * 1_000_000,
-                s.stop_ms * 1_000_000,
+                scaled(s.start_ms, 1_000_000, "subscriber start_ms")?,
+                scaled(s.stop_ms, 1_000_000, "subscriber stop_ms")?,
             ));
         }
         if let Some(t) = &self.topology {
@@ -1290,19 +1295,23 @@ impl Scenario {
                     precedence: f.precedence & 0x7,
                     pattern: match f.pattern {
                         PatternDecl::Cbr { interval_us } => TrafficPattern::Cbr {
-                            interval_ns: interval_us * 1_000,
+                            interval_ns: scaled(interval_us, 1_000, "flow interval_us")?,
                         },
                         PatternDecl::Poisson { mean_interval_us } => TrafficPattern::Poisson {
-                            mean_interval_ns: mean_interval_us * 1_000,
+                            mean_interval_ns: scaled(
+                                mean_interval_us,
+                                1_000,
+                                "flow mean_interval_us",
+                            )?,
                         },
                         PatternDecl::OnOff {
                             on_us,
                             off_us,
                             interval_us,
                         } => TrafficPattern::OnOff {
-                            on_ns: on_us * 1_000,
-                            off_ns: off_us * 1_000,
-                            interval_ns: interval_us * 1_000,
+                            on_ns: scaled(on_us, 1_000, "flow on_us")?,
+                            off_ns: scaled(off_us, 1_000, "flow off_us")?,
+                            interval_ns: scaled(interval_us, 1_000, "flow interval_us")?,
                         },
                         PatternDecl::ClosedLoop {
                             mean_arrival_us,
@@ -1336,15 +1345,18 @@ impl Scenario {
                                 flash_duration_ms,
                                 flash_multiplier_pct,
                             }
-                            .to_spec(),
+                            .to_spec()?,
                         ),
                     },
-                    start_ns: f.start_ms * 1_000_000,
-                    stop_ns: f.stop_ms * 1_000_000,
-                    police: f.police.as_ref().map(|p| PolicerSpec {
-                        rate_bps: p.rate_mbps * 1_000_000,
-                        burst_bytes: p.burst_bytes,
-                    }),
+                    start_ns: scaled(f.start_ms, 1_000_000, "flow start_ms")?,
+                    stop_ns: scaled(f.stop_ms, 1_000_000, "flow stop_ms")?,
+                    police: match &f.police {
+                        Some(p) => Some(PolicerSpec {
+                            rate_bps: scaled(p.rate_mbps, 1_000_000, "police rate_mbps")?,
+                            burst_bytes: p.burst_bytes,
+                        }),
+                        None => None,
+                    },
                 })
             })
             .collect()
@@ -1353,21 +1365,21 @@ impl Scenario {
     /// The telemetry configuration for this run: `Some` when the
     /// scenario's `telemetry` section enables it or `force` is set
     /// (`--metrics-out`), `None` for a zero-overhead run.
-    pub fn telemetry_config(&self, force: bool) -> Option<TelemetryConfig> {
+    pub fn telemetry_config(&self, force: bool) -> Result<Option<TelemetryConfig>, ScenarioError> {
         let defaults = TelemetryDecl::default();
         let decl = match &self.telemetry {
             // A disabled section still carries tuning; `force` overrides
             // only the switch.
             Some(t) if t.enabled || force => t,
-            Some(_) => return None,
+            Some(_) => return Ok(None),
             None if force => &defaults,
-            None => return None,
+            None => return Ok(None),
         };
-        Some(TelemetryConfig {
-            sample_interval_ns: decl.sample_interval_us * 1_000,
+        Ok(Some(TelemetryConfig {
+            sample_interval_ns: scaled(decl.sample_interval_us, 1_000, "sample_interval_us")?,
             series_capacity: decl.series_capacity,
             event_capacity: decl.event_capacity,
-        })
+        }))
     }
 
     /// Resolves the control mode: the `control_override` (the
@@ -1410,51 +1422,39 @@ impl Scenario {
     }
 
     /// The LDP timer configuration (scenario `ldp` section or defaults).
-    pub fn ldp_config(&self) -> LdpConfig {
+    pub fn ldp_config(&self) -> Result<LdpConfig, ScenarioError> {
         let decl = self.ldp.clone().unwrap_or_default();
-        LdpConfig {
-            hello_interval_ns: decl.hello_interval_us * 1_000,
-            hold_ns: decl.hold_us * 1_000,
+        Ok(LdpConfig {
+            hello_interval_ns: scaled(decl.hello_interval_us, 1_000, "ldp hello_interval_us")?,
+            hold_ns: scaled(decl.hold_us, 1_000, "ldp hold_us")?,
             max_backoff_exp: decl.max_backoff_exp,
             jitter_seed: decl.jitter_seed,
-            stale_ttl_ns: decl.stale_ttl_us * 1_000,
-        }
+            stale_ttl_ns: scaled(decl.stale_ttl_us, 1_000, "ldp stale_ttl_us")?,
+        })
     }
 
     /// Builds and runs the whole scenario. Telemetry is collected when
     /// the scenario's `telemetry` section asks for it.
     pub fn run(&self) -> Result<mpls_net::SimReport, ScenarioError> {
-        self.run_with(false, None, None, None)
+        self.run_with_overrides(false, None, None)
     }
 
     /// Like [`Self::run`], but collects telemetry even without a
     /// `telemetry` section (the `--metrics-out` path).
     pub fn run_with_telemetry(&self) -> Result<mpls_net::SimReport, ScenarioError> {
-        self.run_with(true, None, None, None)
+        self.run_with_overrides(true, None, None)
     }
 
     /// Like [`Self::run`], with the command-line overrides applied:
-    /// `force_telemetry` for `--metrics-out`, `shards` for `--shards`
-    /// (which beats the scenario's own `shards` field), `control` for
-    /// `--control` (which beats the scenario's `control` field), and
-    /// `engine` for `--engine` (which beats the scenario's `engine`
-    /// field).
+    /// `force_telemetry` for `--metrics-out`, `shards_override` for
+    /// `--shards` (which beats the scenario's own `shards` field), and
+    /// `control_override` for `--control` (which beats the scenario's
+    /// `control` field).
     pub fn run_with_overrides(
-        &self,
-        force_telemetry: bool,
-        shards: Option<usize>,
-        control: Option<&str>,
-        engine: Option<&str>,
-    ) -> Result<mpls_net::SimReport, ScenarioError> {
-        self.run_with(force_telemetry, shards, control, engine)
-    }
-
-    fn run_with(
         &self,
         force_telemetry: bool,
         shards_override: Option<usize>,
         control_override: Option<&str>,
-        engine_override: Option<&str>,
     ) -> Result<mpls_net::SimReport, ScenarioError> {
         let cp = self.build_control_plane()?;
         let mut sim =
@@ -1465,14 +1465,6 @@ impl Scenario {
             }
             sim.set_shards(shards);
         }
-        if let Some(name) = engine_override.or(self.engine.as_deref()) {
-            let kind = mpls_net::EngineKind::parse(name).ok_or_else(|| {
-                ScenarioError::Invalid(format!(
-                    "unknown engine {name:?} (expected \"barrier\" or \"merge\")"
-                ))
-            })?;
-            sim.set_engine(kind);
-        }
         for n in &self.nodes {
             if let Some(hint) = n.shard {
                 sim.shard_hint(n.id, hint);
@@ -1480,7 +1472,7 @@ impl Scenario {
         }
         match self.control_mode(control_override)? {
             ControlChoice::Centralized => {}
-            ControlChoice::Ldp => sim.enable_ldp(self.ldp_config()),
+            ControlChoice::Ldp => sim.enable_ldp(self.ldp_config()?),
             ControlChoice::Sr => sim.enable_sr(self.sr_config()),
         }
         if let Some(plan) = self.fault_plan(&cp)? {
@@ -1490,8 +1482,12 @@ impl Scenario {
             sim.add_flow(f);
         }
         // Generous drain margin past the horizon.
-        let horizon = self.horizon_ms * 1_000_000 + 500_000_000;
-        match self.telemetry_config(force_telemetry) {
+        let horizon = scaled(self.horizon_ms, 1_000_000, "horizon_ms")?
+            .checked_add(500_000_000)
+            .ok_or_else(|| {
+                ScenarioError::Invalid(format!("horizon_ms {} is out of range", self.horizon_ms))
+            })?;
+        match self.telemetry_config(force_telemetry)? {
             Some(config) => Ok(sim.with_telemetry(config).run(horizon)),
             None => Ok(sim.run(horizon)),
         }
@@ -1630,16 +1626,19 @@ mod tests {
     #[test]
     fn telemetry_section_enables_collection() {
         let mut sc = Scenario::from_json(EXAMPLE).unwrap();
-        assert!(sc.telemetry_config(false).is_none(), "off by default");
+        assert!(
+            sc.telemetry_config(false).unwrap().is_none(),
+            "off by default"
+        );
         // --metrics-out forces it on with defaults.
-        let forced = sc.telemetry_config(true).unwrap();
+        let forced = sc.telemetry_config(true).unwrap().unwrap();
         assert_eq!(forced.sample_interval_ns, 100_000);
 
         sc.telemetry = Some(TelemetryDecl {
             sample_interval_us: 50,
             ..TelemetryDecl::default()
         });
-        let cfg = sc.telemetry_config(false).unwrap();
+        let cfg = sc.telemetry_config(false).unwrap().unwrap();
         assert_eq!(cfg.sample_interval_ns, 50_000);
         let report = sc.run().unwrap();
         let tel = report.telemetry.expect("section turns telemetry on");
@@ -1651,8 +1650,8 @@ mod tests {
 
         // A disabled section keeps the run clean unless forced.
         sc.telemetry.as_mut().unwrap().enabled = false;
-        assert!(sc.telemetry_config(false).is_none());
-        let cfg = sc.telemetry_config(true).unwrap();
+        assert!(sc.telemetry_config(false).unwrap().is_none());
+        let cfg = sc.telemetry_config(true).unwrap().unwrap();
         assert_eq!(cfg.sample_interval_ns, 50_000, "tuning survives forcing");
         let report = sc.run().unwrap();
         assert!(report.telemetry.is_none());
@@ -1664,14 +1663,11 @@ mod tests {
     fn shard_overrides_do_not_change_the_report() {
         let sc = Scenario::from_json(FAULTY).unwrap();
         let baseline =
-            serde_json::to_string(&sc.run_with_overrides(false, Some(1), None, None).unwrap())
-                .unwrap();
+            serde_json::to_string(&sc.run_with_overrides(false, Some(1), None).unwrap()).unwrap();
         for shards in [2, 4] {
-            let sharded = serde_json::to_string(
-                &sc.run_with_overrides(false, Some(shards), None, None)
-                    .unwrap(),
-            )
-            .unwrap();
+            let sharded =
+                serde_json::to_string(&sc.run_with_overrides(false, Some(shards), None).unwrap())
+                    .unwrap();
             assert_eq!(baseline, sharded, "--shards {shards} diverged");
         }
         // The scenario's own field works too, and 0 is rejected.
@@ -1713,7 +1709,7 @@ mod tests {
         sc.flows[0].stop_ms = 40;
         sc.horizon_ms = 60;
         let report = sc.run().expect("ldp scenario runs");
-        assert_eq!(report.control.mode, "ldp");
+        assert_eq!(report.control.mode, mpls_net::ControlMode::Ldp);
         let conv = report.control.convergence_ns.expect("converged");
         assert!(conv < 10_000_000, "{conv}");
         assert!(report.control.sessions_established >= 6);
@@ -1728,9 +1724,9 @@ mod tests {
         // The same run under the centralized override must converge
         // before t=0 (no control summary beyond the mode).
         let central = sc
-            .run_with_overrides(false, None, Some("centralized"), None)
+            .run_with_overrides(false, None, Some("centralized"))
             .unwrap();
-        assert_eq!(central.control.mode, "centralized");
+        assert_eq!(central.control.mode, mpls_net::ControlMode::Centralized);
         assert!(central.control.convergence_ns.is_none());
         assert!(central.fibs.is_none());
     }
@@ -1775,14 +1771,13 @@ mod tests {
 
     /// The bundled SR scenario delivers everything over the diamond,
     /// spreads flows across both equal-cost paths via the entropy
-    /// label, and reports byte-identically at any shard count and
-    /// under both engines (the CI smoke job re-checks this from the
-    /// built binary).
+    /// label, and reports byte-identically at any shard count (the CI
+    /// smoke job re-checks this from the built binary).
     #[test]
     fn sr_scenario_runs_and_is_shard_invariant() {
         let sc = Scenario::from_json(SR_FABRIC).expect("sr scenario parses");
         let report = sc.run().expect("sr scenario runs");
-        assert_eq!(report.control.mode, "sr");
+        assert_eq!(report.control.mode, mpls_net::ControlMode::Sr);
         assert!(!report.flows.is_empty());
         for (spec, s) in &report.flows {
             assert_eq!(s.delivered, s.sent, "flow {} lost traffic", spec.name);
@@ -1792,16 +1787,12 @@ mod tests {
         assert!(ecmp > 0, "loose-hop diamond must exercise ECMP");
         let baseline = serde_json::to_string(&report).unwrap();
         for shards in [2, 4] {
-            for engine in ["barrier", "merge"] {
-                let run = sc
-                    .run_with_overrides(false, Some(shards), None, Some(engine))
-                    .unwrap();
-                assert_eq!(
-                    baseline,
-                    serde_json::to_string(&run).unwrap(),
-                    "{shards} shards / {engine} diverged"
-                );
-            }
+            let run = sc.run_with_overrides(false, Some(shards), None).unwrap();
+            assert_eq!(
+                baseline,
+                serde_json::to_string(&run).unwrap(),
+                "{shards} shards diverged"
+            );
         }
     }
 
@@ -1810,13 +1801,13 @@ mod tests {
     #[test]
     fn closed_loop_pattern_defaults_fill_in() {
         let d: ClosedLoopDecl = serde_json::from_str(r#"{"kind": "closed_loop"}"#).unwrap();
-        let spec = d.to_spec();
+        let spec = d.to_spec().unwrap();
         assert_eq!(spec, ClosedLoopSpec::default());
         // Partial overrides keep the rest at library defaults.
         let d: ClosedLoopDecl =
             serde_json::from_str(r#"{"kind": "closed_loop", "max_cwnd": 8, "sla_fct_ms": 5}"#)
                 .unwrap();
-        let spec = d.to_spec();
+        let spec = d.to_spec().unwrap();
         assert_eq!(spec.max_cwnd, 8);
         assert_eq!(spec.sla_fct_ns, 5_000_000);
         assert_eq!(spec.rto_ns, ClosedLoopSpec::default().rto_ns);
@@ -1883,23 +1874,19 @@ mod tests {
         );
         let baseline = serde_json::to_string(&report).unwrap();
         for shards in [2, 4] {
-            for engine in ["barrier", "merge"] {
-                let run = sc
-                    .run_with_overrides(false, Some(shards), None, Some(engine))
-                    .unwrap();
-                assert_eq!(
-                    baseline,
-                    serde_json::to_string(&run).unwrap(),
-                    "{shards} shards / {engine} diverged"
-                );
-            }
+            let run = sc.run_with_overrides(false, Some(shards), None).unwrap();
+            assert_eq!(
+                baseline,
+                serde_json::to_string(&run).unwrap(),
+                "{shards} shards diverged"
+            );
         }
     }
 
     #[test]
     fn ldp_timer_section_parses() {
         let mut sc = Scenario::from_json(FAULTY).unwrap();
-        let cfg = sc.ldp_config();
+        let cfg = sc.ldp_config().unwrap();
         assert_eq!(cfg.hello_interval_ns, 1_000_000);
         assert_eq!(cfg.hold_ns, 3_500_000);
         sc.ldp = Some(LdpDecl {
@@ -1908,7 +1895,7 @@ mod tests {
             stale_ttl_us: 1_500,
             ..LdpDecl::default()
         });
-        let cfg = sc.ldp_config();
+        let cfg = sc.ldp_config().unwrap();
         assert_eq!(cfg.hello_interval_ns, 200_000);
         assert_eq!(cfg.hold_ns, 700_000);
         assert_eq!(cfg.stale_ttl_ns, 1_500_000);
@@ -1982,7 +1969,7 @@ mod tests {
         }
         // Byte-identical at any shard count, as everywhere else.
         let base = serde_json::to_string(&report).unwrap();
-        let sharded = sc.run_with_overrides(false, Some(4), None, None).unwrap();
+        let sharded = sc.run_with_overrides(false, Some(4), None).unwrap();
         assert_eq!(base, serde_json::to_string(&sharded).unwrap());
     }
 

@@ -20,3 +20,40 @@ fn deeply_nested_json_exits_with_an_error() {
         );
     }
 }
+
+/// Unit conversions (ms or µs to ns) that overflow `u64` are rejected
+/// with the field's name instead of panicking or wrapping.
+#[test]
+fn overflowing_time_fields_exit_with_an_error() {
+    const EXAMPLE: &str = include_str!("../scenarios/example.json");
+    let max = u64::MAX.to_string();
+    let cases = [
+        (
+            "horizon_ms",
+            EXAMPLE.replace("\"horizon_ms\": 150", &format!("\"horizon_ms\": {max}")),
+            &["run"][..],
+        ),
+        (
+            "delay_us",
+            EXAMPLE.replacen("\"delay_us\": 500", &format!("\"delay_us\": {max}"), 1),
+            &["run", "validate"][..],
+        ),
+    ];
+    for (field, doc, cmds) in cases {
+        assert!(doc.contains(&max), "{field}: substitution missed");
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{field}.json"));
+        std::fs::write(&path, doc).unwrap();
+        for cmd in cmds {
+            let out = Command::new(env!("CARGO_BIN_EXE_mpls-sim"))
+                .args([cmd, path.to_str().unwrap()])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{field} {cmd}: {stderr}");
+            assert!(
+                stderr.starts_with("error:") && stderr.contains(field),
+                "{field} {cmd}: {stderr}"
+            );
+        }
+    }
+}

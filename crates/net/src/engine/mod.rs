@@ -34,13 +34,12 @@ pub(crate) use sr::SrRuntime;
 use crate::event::{ControlEvent, EventQueue, SimTime};
 use crate::fault::{FaultRecord, RecoveryMode, RestorationPolicy};
 use crate::link::Channel;
-use crate::node::Node;
 use crate::policer::TokenBucket;
 use crate::sim::{FlowTemplate, LinkUsage, SimInstruments, SimReport};
 use crate::stats::{FlowId, FlowStats};
 use crate::traffic::{FlowSpec, TrafficPattern};
 use mpls_control::{ControlPlane, LinkId, LspRequest, NodeConfig, NodeId};
-use mpls_router::DiscardCause;
+use mpls_router::{DiscardCause, MplsForwarder};
 use mpls_telemetry::TelemetrySink;
 use partition::partition;
 use rand::rngs::StdRng;
@@ -54,42 +53,22 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::marker::PhantomData;
 use wheel::EventWheel;
 
-/// Which coordination scheme keeps shards causally safe. Both produce
-/// byte-identical reports — the knob only trades coordination overhead,
-/// exactly like the shard count itself.
+/// The coordination scheme that kept shards causally safe, as named in
+/// reports. The epoch barrier is the only one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// The global epoch barrier: every shard advances to the same
     /// conservative bound `min(next_global, earliest_local + lookahead)`
-    /// where `lookahead` is the *global* minimum cross-shard delay. One
-    /// slow pair of shards throttles everyone.
+    /// where `lookahead` is the *global* minimum cross-shard delay.
     #[default]
     Barrier,
-    /// The channel-merge scheduler: each shard advances to its own
-    /// bound, the minimum over incoming cross-shard channels of the
-    /// sending shard's clock plus that pair's minimum channel delay.
-    /// Idle neighbors (empty wheels) impose no bound at all — the
-    /// coordinator's per-round clock gather is the null-message
-    /// heartbeat — so no shard ever waits on the global minimum.
-    Merge,
 }
 
 impl EngineKind {
-    /// Parses a CLI/scenario/env spelling (`"barrier"`/`"epoch"` or
-    /// `"merge"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "barrier" | "epoch" => Some(Self::Barrier),
-            "merge" => Some(Self::Merge),
-            _ => None,
-        }
-    }
-
     /// The canonical spelling, as printed in reports.
     pub fn name(self) -> &'static str {
         match self {
             Self::Barrier => "barrier",
-            Self::Merge => "merge",
         }
     }
 }
@@ -104,11 +83,8 @@ pub struct EngineStats {
     /// Shards the run actually used (after degenerate fallbacks).
     pub shards: usize,
     /// Conservative lookahead, `None` when no channel crossed shards.
-    /// (The barrier engine's global bound; the merge engine's per-pair
-    /// bounds are at least this wide.)
     pub lookahead_ns: Option<u64>,
-    /// Parallel rounds executed (epochs under the barrier engine, merge
-    /// rounds under the channel-merge scheduler).
+    /// Parallel rounds (epochs) executed.
     pub epochs: u64,
     /// Coordinator (control) events executed.
     pub global_events: u64,
@@ -157,7 +133,7 @@ pub(crate) struct EngineParts<S> {
     pub channels: Vec<Channel>,
     pub chan_index: HashMap<(NodeId, NodeId), usize>,
     pub chan_link: Vec<LinkId>,
-    pub nodes: Vec<Box<dyn Node>>,
+    pub nodes: Vec<Box<dyn MplsForwarder + Send>>,
     pub cp: ControlPlane,
     pub flows: Vec<FlowSpec>,
     pub policers: Vec<Option<TokenBucket>>,
@@ -168,7 +144,6 @@ pub(crate) struct EngineParts<S> {
     pub instr: SimInstruments,
     pub shards: usize,
     pub hints: HashMap<NodeId, usize>,
-    pub engine: EngineKind,
     pub ldp: Option<LdpRuntime>,
     pub sr: Option<SrRuntime>,
     pub pdu_chaos: Vec<crate::fault::PduChaos>,
@@ -191,12 +166,6 @@ pub(crate) struct Engine<S: TelemetrySink> {
     /// Liveness snapshot shards read; refreshed after channel mutations.
     chan_state: Vec<ChanState>,
     lookahead: SimTime,
-    kind: EngineKind,
-    /// `min_delay[from * shards + to]`: minimum channel delay between
-    /// each ordered shard pair (`SimTime::MAX` when no channel connects
-    /// the pair). The merge scheduler's per-shard bounds come from this
-    /// matrix instead of the single global `lookahead`.
-    min_delay: Vec<SimTime>,
     /// Shard owning each flow's ingress node (ack destination).
     flow_shard: Vec<usize>,
     /// Per closed-loop ingress: static shortest-path delay from every
@@ -237,7 +206,7 @@ impl<S: TelemetrySink> Engine<S> {
     pub fn new(parts: EngineParts<S>) -> Self {
         let nflows = parts.flows.len();
         let nchans = parts.channels.len();
-        let node_ids: Vec<NodeId> = parts.nodes.iter().map(|n| n.id()).collect();
+        let node_ids: Vec<NodeId> = parts.nodes.iter().map(|n| n.node_id()).collect();
         let part = partition(&node_ids, parts.shards, &parts.hints, &parts.channels);
         // Slot width is a performance knob only; pop order is canonical.
         let slot_ns = if part.lookahead == SimTime::MAX {
@@ -261,7 +230,6 @@ impl<S: TelemetrySink> Engine<S> {
                 deltas: Vec::new(),
                 events_processed: 0,
                 last_time: 0,
-                round_end: 0,
                 batch: batch_limit(),
                 batch_items: Vec::new(),
                 batch_live: Vec::new(),
@@ -278,12 +246,8 @@ impl<S: TelemetrySink> Engine<S> {
             }
         }
         for node in parts.nodes {
-            let sh = &mut shards[part.shard_of_node[&node.id()]];
-            sh.node_local.insert(node.id(), sh.nodes.len());
-            if let Some(iv) = node.tick_interval() {
-                sh.wheel
-                    .schedule(iv.max(1), LocalEvent::NodeTick { node: node.id() });
-            }
+            let sh = &mut shards[part.shard_of_node[&node.node_id()]];
+            sh.node_local.insert(node.node_id(), sh.nodes.len());
             sh.nodes.push(node);
         }
         let ack_dist = Self::ack_distances(&parts.flows, &parts.channels);
@@ -295,10 +259,6 @@ impl<S: TelemetrySink> Engine<S> {
         let mut chan_owner = Vec::with_capacity(nchans);
         let mut chan_dest_shard = Vec::with_capacity(nchans);
         let mut chan_state = Vec::with_capacity(nchans);
-        // Per-ordered-shard-pair minimum channel delay: the conservative
-        // bound the merge scheduler applies per *pair* where the barrier
-        // engine applies the global minimum to everyone.
-        let mut min_delay = vec![SimTime::MAX; part.shards * part.shards];
         for c in parts.channels {
             let owner = part.shard_of_node[&c.from];
             let dest = part.shard_of_node[&c.to];
@@ -307,10 +267,6 @@ impl<S: TelemetrySink> Engine<S> {
                 up: c.up,
                 gen: c.gen,
             });
-            if owner != dest {
-                let cell = &mut min_delay[owner * part.shards + dest];
-                *cell = (*cell).min(c.delay_ns);
-            }
             let sh = &mut shards[owner];
             chan_owner.push((owner, sh.channels.len()));
             sh.channels.push(c);
@@ -354,8 +310,6 @@ impl<S: TelemetrySink> Engine<S> {
             chan_dest_shard,
             chan_state,
             lookahead: part.lookahead,
-            kind: parts.engine,
-            min_delay,
             flow_shard,
             ack_dist,
             peeks: vec![None; nsh],
@@ -383,15 +337,11 @@ impl<S: TelemetrySink> Engine<S> {
     /// node that can reach it. One Dijkstra per ingress, over reversed
     /// edges.
     ///
-    /// Causal safety of `ack at = delivery + dist`: collapse the
-    /// shortest node path onto the shard graph — every crossed
-    /// shard-pair channel contributes at least that pair's `min_delay`
-    /// entry, intra-shard hops at least zero — so `dist` is never below
-    /// the merge scheduler's transitive bound between the delivering
-    /// shard and the ingress shard, nor (when they differ) below the
-    /// barrier engine's global lookahead. The ack therefore always
-    /// lands at or after the receiving shard's round end and rides the
-    /// ordinary outbox exchange.
+    /// Causal safety of `ack at = delivery + dist`: when the delivering
+    /// shard and the ingress shard differ, the shortest node path
+    /// crosses at least one cross-shard channel, so `dist` is never
+    /// below the global lookahead. The ack therefore always lands at or
+    /// after the round end and rides the ordinary outbox exchange.
     fn ack_distances(
         flows: &[FlowSpec],
         channels: &[Channel],
@@ -435,15 +385,6 @@ impl<S: TelemetrySink> Engine<S> {
         out
     }
 
-    /// Runs until every queue drains or `horizon_ns` passes, then
-    /// merges the shards into a report.
-    pub fn run(self, horizon_ns: SimTime) -> SimReport {
-        match self.kind {
-            EngineKind::Barrier => self.run_barrier(horizon_ns),
-            EngineKind::Merge => self.run_merge(horizon_ns),
-        }
-    }
-
     /// Refreshes the per-shard wheel peeks and decides the next step:
     /// `None` when everything drained or passed the horizon,
     /// `Some(true)` when the next global event should run now,
@@ -478,11 +419,12 @@ impl<S: TelemetrySink> Engine<S> {
         self.handle_global(ev);
     }
 
-    /// The epoch-barrier coordinator: every round, every shard advances
-    /// to the same conservative bound
+    /// Runs until every queue drains or `horizon_ns` passes, then
+    /// merges the shards into a report. Every round, every shard
+    /// advances to the same conservative bound
     /// `end = min(next_global, earliest_local + lookahead, horizon + 1)`
     /// where `lookahead` is the global minimum cross-shard delay.
-    fn run_barrier(mut self, horizon_ns: SimTime) -> SimReport {
+    pub fn run(mut self, horizon_ns: SimTime) -> SimReport {
         loop {
             match self.next_step(horizon_ns) {
                 None => break,
@@ -504,122 +446,15 @@ impl<S: TelemetrySink> Engine<S> {
                 .unwrap_or(SimTime::MAX)
                 .min(tl.saturating_add(self.lookahead))
                 .min(horizon_ns.saturating_add(1));
-            for s in &mut self.shards {
-                s.round_end = end;
-            }
-            self.run_round();
+            self.run_round(end);
         }
         self.finish()
     }
 
-    /// The channel-merge coordinator. Each round, shard `i` advances to
-    /// its own bound
-    ///
-    /// ```text
-    /// out_j = min(t_j, min over k with a channel k -> j
-    ///                      of (out_k + min_delay[k][j]))
-    /// end_i = min(next_global, horizon + 1,
-    ///             min over shards j != i with a channel j -> i
-    ///                 of (out_j + min_delay[j][i]))
-    /// ```
-    ///
-    /// where `t_j` is shard `j`'s earliest pending event and `out_j`
-    /// (a shortest-path fixpoint over the channel graph, seeded by the
-    /// busy shards) is the earliest instant `j` could *ever* put an
-    /// arrival on an outgoing channel — whether from its own wheel or
-    /// by forwarding something it has not even received yet. This is
-    /// the conservative null-message rule with the coordinator's clock
-    /// gather standing in for explicit null messages; propagating
-    /// through `out` rather than reading raw clocks is what makes the
-    /// lookahead *transitive*: an idle shard `j` relays its upstream's
-    /// bound (shifted by the channel delays) instead of imposing none,
-    /// while a shard with no busy upstream at all (`out_j = MAX`) truly
-    /// cannot wake and never stalls its receiver — an idle or one-way
-    /// channel costs nothing, and a shard with no busy ancestors runs
-    /// all the way to the horizon.
-    ///
-    /// Liveness: every `out_j >= t_min`, the globally minimal clock, so
-    /// the shard holding `t_min` gets `end_i >= t_min + min cross-shard
-    /// delay > t_min` (zero-delay cuts degrade to one shard at
-    /// partition time), and every round executes at least one event —
-    /// no deadlock, no starvation.
-    ///
-    /// Determinism: any arrival that ever reaches shard `i` traces back
-    /// to an event pending *now* on some shard `k`, through a channel
-    /// path whose delays sum to at least `out`'s shortest path, so it is
-    /// stamped `>= end_i` and reaches the receiving wheel (at a round
-    /// boundary) before the receiver executes any event at that time.
-    /// Per-shard pop order is canonical in `(time, key)` regardless of
-    /// round boundaries, and globals still outrank locals at equal
-    /// instants, so the report is byte-identical to the barrier
-    /// engine's at any shard count.
-    fn run_merge(mut self, horizon_ns: SimTime) -> SimReport {
-        let nsh = self.shards.len();
-        let mut out: Vec<SimTime> = Vec::with_capacity(nsh);
-        loop {
-            match self.next_step(horizon_ns) {
-                None => break,
-                Some(true) => {
-                    self.pop_global();
-                    continue;
-                }
-                Some(false) => {}
-            }
-            let cap = self
-                .globals
-                .peek_time()
-                .unwrap_or(SimTime::MAX)
-                .min(horizon_ns.saturating_add(1));
-            // Earliest-possible-output fixpoint (Bellman-Ford over the
-            // shard channel graph; nsh is small and cross-shard delays
-            // are positive, so this settles in < nsh sweeps).
-            out.clear();
-            out.extend((0..nsh).map(|j| self.peeks[j].unwrap_or(SimTime::MAX)));
-            loop {
-                let mut changed = false;
-                for j in 0..nsh {
-                    for k in 0..nsh {
-                        if k == j {
-                            continue;
-                        }
-                        let d = self.min_delay[k * nsh + j];
-                        if d == SimTime::MAX || out[k] == SimTime::MAX {
-                            continue;
-                        }
-                        let cand = out[k].saturating_add(d);
-                        if cand < out[j] {
-                            out[j] = cand;
-                            changed = true;
-                        }
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            for i in 0..nsh {
-                let mut end = cap;
-                for (j, &oj) in out.iter().enumerate() {
-                    if j == i {
-                        continue;
-                    }
-                    let d = self.min_delay[j * nsh + i];
-                    if d != SimTime::MAX && oj != SimTime::MAX {
-                        end = end.min(oj.saturating_add(d));
-                    }
-                }
-                self.shards[i].round_end = end;
-            }
-            self.run_round();
-        }
-        self.finish()
-    }
-
-    /// One conservative round: shard `i` executes its local events
-    /// strictly before its `round_end` (in parallel when there are
-    /// multiple shards), then cross-shard arrivals are exchanged at the
-    /// round boundary.
-    fn run_round(&mut self) {
+    /// One conservative round: every shard executes its local events
+    /// strictly before `end` (in parallel when there are multiple
+    /// shards), then cross-shard arrivals are exchanged at the barrier.
+    fn run_round(&mut self, end: SimTime) {
         self.epochs += 1;
         let ctx = SharedCtx {
             flows: &self.flows,
@@ -634,13 +469,12 @@ impl<S: TelemetrySink> Engine<S> {
             ack_dist: &self.ack_dist,
         };
         if self.shards.len() == 1 {
-            let end = self.shards[0].round_end;
             self.shards[0].run_until(end, &ctx);
         } else {
             use rayon::prelude::*;
             self.shards
                 .par_iter_mut()
-                .for_each(|s| s.run_until(s.round_end, &ctx));
+                .for_each(|s| s.run_until(end, &ctx));
         }
         for i in 0..self.shards.len() {
             let outbox = std::mem::take(&mut self.shards[i].outbox);
@@ -763,7 +597,7 @@ impl<S: TelemetrySink> Engine<S> {
     fn reprogram_routers(&mut self) {
         for sh in &mut self.shards {
             for node in &mut sh.nodes {
-                let cfg = self.cp.config_for(node.id());
+                let cfg = self.cp.config_for(node.node_id());
                 node.reprogram(&cfg);
             }
         }
@@ -1319,11 +1153,11 @@ impl<S: TelemetrySink> Engine<S> {
         let mut routers = BTreeMap::new();
         for sh in &self.shards {
             for node in &sh.nodes {
-                routers.insert(node.id(), node.stats());
+                routers.insert(node.node_id(), node.stats());
             }
         }
         let engine = EngineStats {
-            kind: self.kind,
+            kind: EngineKind::Barrier,
             shards: self.shards.len(),
             lookahead_ns: (self.lookahead != SimTime::MAX).then_some(self.lookahead),
             epochs: self.epochs,

@@ -6,8 +6,7 @@
 //! time `u` can, at the earliest, influence another shard at
 //! `u + lookahead`, so an epoch `[start, end)` with
 //! `end <= earliest_pending + lookahead` is causally safe to run
-//! without synchronization. (The channel-merge engine refines this to a
-//! per-shard-pair bound, but the same rule applies pairwise.)
+//! without synchronization.
 //!
 //! # Min-cut refinement
 //!

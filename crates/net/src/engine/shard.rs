@@ -30,14 +30,13 @@
 use super::wheel::EventWheel;
 use crate::event::SimTime;
 use crate::link::{Channel, OfferResult};
-use crate::node::Node;
 use crate::policer::TokenBucket;
 use crate::sim::{FlowTemplate, SimPacket};
 use crate::stats::{FlowId, FlowStats};
 use crate::traffic::{ClosedLoopSpec, FlowSpec, TrafficPattern};
 use mpls_control::{LinkId, NodeId};
 use mpls_packet::MplsPacket;
-use mpls_router::{Action, DiscardCause, Forwarding};
+use mpls_router::{Action, DiscardCause, Forwarding, MplsForwarder};
 use mpls_telemetry::{Histogram, TelemetrySink};
 use rand::rngs::StdRng;
 use std::collections::{HashMap, VecDeque};
@@ -97,16 +96,11 @@ pub(crate) enum LocalEvent {
         /// Channel incarnation at scheduling time; stale if it moved on.
         gen: u64,
     },
-    /// A node's periodic tick (see [`Node::tick_interval`]).
-    NodeTick {
-        /// The ticking node.
-        node: NodeId,
-    },
     /// A closed-loop delivery acknowledgment reaching the flow's ingress:
     /// scheduled at delivery time plus the static shortest-path
     /// propagation delay back to the ingress (an uncongested, reliable
     /// reverse path — the forward direction is the one under test). The
-    /// delay is never below the engines' cross-shard lookahead bounds,
+    /// delay is never below the engine's cross-shard lookahead,
     /// so acks ride the normal outbox exchange safely.
     Ack {
         /// The acked flow.
@@ -131,8 +125,8 @@ pub(crate) enum LocalEvent {
 
 impl LocalEvent {
     /// The canonical same-timestamp ordering key. Emissions first, then
-    /// arrivals, then transmit completions, then ticks — matching the
-    /// causal chains `SourceEmit -> Arrive` and
+    /// arrivals, then transmit completions, then the closed-loop events
+    /// — matching the causal chains `SourceEmit -> Arrive` and
     /// `Arrive -> TransmitDone` that occur at one instant.
     pub fn key(&self) -> EventKey {
         match *self {
@@ -151,7 +145,6 @@ impl LocalEvent {
                 (1, node as u64, lane)
             }
             LocalEvent::TransmitDone { channel, gen } => (2, channel as u64, gen),
-            LocalEvent::NodeTick { node } => (3, node as u64, 0),
             // Unique per timestamp: seqs are unique per flow, and the
             // chain/timer flags keep at most one XferArrive / RtoCheck
             // pending per flow.
@@ -328,7 +321,7 @@ impl FlowDelta {
 pub(crate) struct ShardState<S> {
     pub id: usize,
     pub wheel: EventWheel,
-    pub nodes: Vec<Box<dyn Node>>,
+    pub nodes: Vec<Box<dyn MplsForwarder + Send>>,
     pub node_local: HashMap<NodeId, usize>,
     /// Channels this shard transmits on (its nodes are the `from` ends).
     pub channels: Vec<Channel>,
@@ -354,11 +347,6 @@ pub(crate) struct ShardState<S> {
     pub events_processed: u64,
     /// Timestamp of the most recently executed event.
     pub last_time: SimTime,
-    /// Exclusive upper bound for the current round, set by the
-    /// coordinator before the parallel section. Under the epoch barrier
-    /// every shard gets the same bound; under the channel-merge
-    /// scheduler each shard gets its own (see `Engine::run_merge`).
-    pub round_end: SimTime,
     /// Batch drain bound (see [`batch_limit`]); reusable scratch
     /// buffers keep the hot loop allocation-free.
     pub batch: usize,
@@ -402,7 +390,6 @@ impl<S: TelemetrySink> ShardState<S> {
                 LocalEvent::TransmitDone { channel, gen } => {
                     self.on_transmit_done(t, channel, gen, ctx)
                 }
-                LocalEvent::NodeTick { node } => self.on_node_tick(t, node),
                 LocalEvent::Ack { flow, seq, ecn } => self.on_ack(t, flow, seq, ecn, ctx),
                 LocalEvent::XferArrive { flow } => self.on_xfer_arrive(t, flow, ctx),
                 LocalEvent::RtoCheck { flow } => self.on_rto_check(t, flow, ctx),
@@ -741,13 +728,7 @@ impl<S: TelemetrySink> ShardState<S> {
         let li = self.node_local[&node];
         let router = &mut self.nodes[li];
         for (inner, flow, seq, sent_ns, ecn, port) in live.drain(..) {
-            outs.push((
-                router.on_packet_via(now, inner, port),
-                flow,
-                seq,
-                sent_ns,
-                ecn,
-            ));
+            outs.push((router.handle_on_port(inner, port), flow, seq, sent_ns, ecn));
         }
         for (out, flow, seq, sent_ns, ecn) in outs.drain(..) {
             self.apply_forwarding(now, node, out, flow, seq, sent_ns, ecn, ctx);
@@ -932,15 +913,6 @@ impl<S: TelemetrySink> ShardState<S> {
             self.wheel.schedule(at, ev);
         } else {
             self.outbox.push((at, ctx.chan_dest_shard[chan], ev));
-        }
-    }
-
-    fn on_node_tick(&mut self, now: SimTime, node: NodeId) {
-        let li = self.node_local[&node];
-        self.nodes[li].on_tick(now);
-        if let Some(iv) = self.nodes[li].tick_interval() {
-            self.wheel
-                .schedule(now + iv.max(1), LocalEvent::NodeTick { node });
         }
     }
 

@@ -16,7 +16,6 @@
 //!   closed-loop flows (diurnal load, flash crowds).
 //! * [`stats`] — per-flow delay/jitter/loss/throughput accounting.
 //! * [`fault`] — scheduled link failures and the timed-restoration model.
-//! * [`node`] — the [`Node`] trait the engine drives at each vertex.
 //! * [`engine`] — the sharded discrete-event engine (per-shard event
 //!   wheels, conservative epoch barriers, deterministic merge).
 //! * [`sim`] — the facade tying routers (`mpls-router`) to the network.
@@ -26,7 +25,6 @@ pub mod event;
 pub mod fault;
 pub mod histogram;
 pub mod link;
-pub mod node;
 pub mod policer;
 pub mod queue;
 pub mod scale;
@@ -40,7 +38,6 @@ pub use event::{ControlEvent, EventQueue, SimTime};
 pub use fault::{FaultPlan, FaultRecord, PduChaos, RecoveryMode, RestorationPolicy};
 pub use histogram::LatencyHistogram;
 pub use link::Channel;
-pub use node::{ForwarderNode, Node};
 pub use policer::{PolicerSpec, TokenBucket};
 pub use queue::{LinkQueue, QueueDiscipline};
 pub use scale::{ScaleFamily, ScaleSpec, ScaleWorkload};

@@ -21,13 +21,10 @@
 //! telemetry export — is byte-identical at any shard count; sharding is
 //! purely a wall-clock optimization. See [`crate::engine`].
 
-use crate::engine::{
-    stream_seed, Engine, EngineKind, EngineParts, EngineStats, LdpRuntime, SrRuntime,
-};
+use crate::engine::{stream_seed, Engine, EngineParts, EngineStats, LdpRuntime, SrRuntime};
 use crate::event::{ControlEvent, EventQueue, SimTime};
 use crate::fault::{FaultKind, FaultPlan, FaultRecord, RestorationPolicy};
 use crate::link::Channel;
-use crate::node::{ForwarderNode, Node};
 use crate::queue::QueueDiscipline;
 use crate::stats::{FlowId, FlowStats};
 use crate::traffic::FlowSpec;
@@ -35,7 +32,7 @@ use mpls_control::{ControlPlane, LinkId, NodeConfig, NodeId};
 use mpls_ldp::{LdpConfig, LdpFabric};
 use mpls_packet::{EtherType, EthernetFrame, Ipv4Header, MacAddr, MplsPacket};
 pub use mpls_router::RouterKind;
-use mpls_router::RouterStats;
+use mpls_router::{MplsForwarder, RouterStats};
 use mpls_telemetry::{
     CounterId, HistId, NoopSink, Registry, SeriesId, SpanId, TelemetryConfig, TelemetryReport,
     TelemetrySink,
@@ -247,19 +244,6 @@ impl core::fmt::Display for ControlMode {
     }
 }
 
-/// String comparisons keep working (`report.control.mode == "ldp"`).
-impl PartialEq<&str> for ControlMode {
-    fn eq(&self, other: &&str) -> bool {
-        self.as_str() == *other
-    }
-}
-
-impl PartialEq<ControlMode> for &str {
-    fn eq(&self, other: &ControlMode) -> bool {
-        *self == other.as_str()
-    }
-}
-
 /// How the run's control plane behaved. For the default centralized
 /// solver the mode is all there is to say; on a `--control ldp`
 /// run the protocol's global counters and convergence time fill in.
@@ -409,7 +393,7 @@ pub struct Simulation<S: TelemetrySink = NoopSink> {
     chan_index: HashMap<(NodeId, NodeId), usize>,
     /// `chan_link[i]` is the topology link channel `i` belongs to.
     chan_link: Vec<LinkId>,
-    nodes: Vec<Box<dyn Node>>,
+    nodes: Vec<Box<dyn MplsForwarder + Send>>,
     /// The simulation's own control plane — a clone of the one it was
     /// built from, mutated by runtime faults.
     cp: ControlPlane,
@@ -421,7 +405,6 @@ pub struct Simulation<S: TelemetrySink = NoopSink> {
     sink: S,
     instr: SimInstruments,
     requested_shards: Option<usize>,
-    requested_engine: Option<EngineKind>,
     shard_hints: HashMap<NodeId, usize>,
     /// Present when the run uses the distributed control plane.
     ldp: Option<LdpRuntime>,
@@ -465,13 +448,10 @@ impl Simulation {
                 chan_link.push(link_id as LinkId);
             }
         }
-        let nodes: Vec<Box<dyn Node>> = topo
+        let nodes = topo
             .nodes()
             .iter()
-            .map(|node| {
-                let cfg = cp.config_for(node.id);
-                Box::new(ForwarderNode::new(kind.build(node.id, node.role, &cfg))) as Box<dyn Node>
-            })
+            .map(|node| kind.build(node.id, node.role, &cp.config_for(node.id)))
             .collect();
         Self {
             channels,
@@ -487,7 +467,6 @@ impl Simulation {
             sink: NoopSink,
             instr: SimInstruments::default(),
             requested_shards: None,
-            requested_engine: None,
             shard_hints: HashMap::new(),
             ldp: None,
             sr: None,
@@ -530,7 +509,6 @@ impl Simulation {
             sink,
             instr,
             requested_shards: self.requested_shards,
-            requested_engine: self.requested_engine,
             shard_hints: self.shard_hints,
             ldp: self.ldp,
             sr: self.sr,
@@ -557,15 +535,6 @@ impl<S: TelemetrySink> Simulation<S> {
     /// any value — this only trades wall-clock time.
     pub fn set_shards(&mut self, shards: usize) {
         self.requested_shards = Some(shards);
-    }
-
-    /// Selects the shard coordination scheme ([`EngineKind`]). Overrides
-    /// the `MPLS_SIM_ENGINE` environment variable (`"barrier"` or
-    /// `"merge"`); the default is the epoch barrier. The report is
-    /// identical either way — like the shard count, this only trades
-    /// wall-clock time.
-    pub fn set_engine(&mut self, kind: EngineKind) {
-        self.requested_engine = Some(kind);
     }
 
     /// Pins `node` to shard `hint % shards` instead of its default
@@ -645,7 +614,7 @@ impl<S: TelemetrySink> Simulation<S> {
         // Strip the omniscient programming: nodes start with only their
         // locally originated state and learn the rest over the wire.
         for node in &mut self.nodes {
-            let cfg = fabric.config_for(node.id());
+            let cfg = fabric.config_for(node.node_id());
             node.reprogram(&cfg);
         }
         fabric.take_dirty();
@@ -684,7 +653,7 @@ impl<S: TelemetrySink> Simulation<S> {
         // Replace the centrally solved per-LSP state with the compiled
         // SR fabric's.
         for node in &mut self.nodes {
-            let cfg = fabric.config_for(node.id());
+            let cfg = fabric.config_for(node.node_id());
             node.reprogram(&cfg);
         }
         fabric.take_dirty();
@@ -740,9 +709,7 @@ impl<S: TelemetrySink> Simulation<S> {
 
     /// Runs until the event queues drain or `horizon_ns` passes, then
     /// reports. The shard count resolves as [`Self::set_shards`], else
-    /// the `MPLS_SIM_SHARDS` environment variable, else 1; the engine
-    /// kind as [`Self::set_engine`], else `MPLS_SIM_ENGINE`, else the
-    /// epoch barrier.
+    /// the `MPLS_SIM_SHARDS` environment variable, else 1.
     pub fn run(self, horizon_ns: SimTime) -> SimReport {
         let shards = self
             .requested_shards
@@ -752,14 +719,6 @@ impl<S: TelemetrySink> Simulation<S> {
                     .and_then(|v| v.parse().ok())
             })
             .unwrap_or(1);
-        let engine = self
-            .requested_engine
-            .or_else(|| {
-                std::env::var("MPLS_SIM_ENGINE")
-                    .ok()
-                    .and_then(|v| EngineKind::parse(&v))
-            })
-            .unwrap_or_default();
         Engine::new(EngineParts {
             channels: self.channels,
             chan_index: self.chan_index,
@@ -775,7 +734,6 @@ impl<S: TelemetrySink> Simulation<S> {
             instr: self.instr,
             shards,
             hints: self.shard_hints,
-            engine,
             ldp: self.ldp,
             sr: self.sr,
             pdu_chaos: self.pdu_chaos,
@@ -1294,7 +1252,7 @@ mod tests {
         sim.add_flow(f);
         let report = sim.run(30_000_000);
 
-        assert_eq!(report.control.mode, "ldp");
+        assert_eq!(report.control.mode, ControlMode::Ldp);
         let conv = report.control.convergence_ns.expect("protocol converged");
         assert!(conv < 10_000_000, "converged late: {conv} ns");
         // Three bidirectional adjacencies on the north path alone; every

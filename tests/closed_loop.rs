@@ -1,16 +1,16 @@
 //! Closed-loop traffic end to end: congestion windows react to load,
 //! transfers complete, conservation holds with retransmissions
 //! accounted, and — the hard part — the report is byte-identical across
-//! shard counts {1, 2, 4} × engines {barrier, merge}, random topologies
-//! and fault schedules included.
+//! shard counts {1, 2, 4}, random topologies and fault schedules
+//! included.
 
 use mpls_control::{ControlPlane, LinkSpec, LspRequest, RouterRole, Topology};
 use mpls_core::ClockSpec;
 use mpls_dataplane::ftn::Prefix;
 use mpls_net::traffic::{ClosedLoopSpec, FlowSpec, TrafficPattern};
 use mpls_net::{
-    EngineKind, FaultPlan, QueueDiscipline, RecoveryMode, RestorationPolicy, RouterKind, SimReport,
-    Simulation, SubscriberModel,
+    FaultPlan, QueueDiscipline, RecoveryMode, RestorationPolicy, RouterKind, SimReport, Simulation,
+    SubscriberModel,
 };
 use mpls_packet::ipv4::parse_addr;
 use proptest::prelude::*;
@@ -88,7 +88,6 @@ fn run_once(
     plan: Option<&FaultPlan>,
     seed: u64,
     shards: usize,
-    engine: EngineKind,
     horizon_ns: u64,
 ) -> SimReport {
     let mut sim = Simulation::build(
@@ -100,7 +99,6 @@ fn run_once(
         seed,
     );
     sim.set_shards(shards);
-    sim.set_engine(engine);
     if let Some(plan) = plan {
         sim.set_fault_plan(plan.clone());
     }
@@ -147,7 +145,6 @@ fn transfers_complete_and_windows_open() {
         None,
         7,
         1,
-        EngineKind::Barrier,
         30_000_000,
     );
     let (_, st) = &report.flows[0];
@@ -200,10 +197,9 @@ fn cwnd_reacts_to_a_fault_window_and_recovers() {
         Some(&plan),
         7,
         1,
-        EngineKind::Barrier,
         40_000_000,
     );
-    let clean = run_once(&cp, &[flow], None, 7, 1, EngineKind::Barrier, 40_000_000);
+    let clean = run_once(&cp, &[flow], None, 7, 1, 40_000_000);
     let (_, f) = &faulted.flows[0];
     let (_, c) = &clean.flows[0];
     // Decrease on loss: the outage strands in-flight packets, the RTO
@@ -245,7 +241,6 @@ fn ecn_marks_halve_the_window_under_congestion() {
         None,
         11,
         1,
-        EngineKind::Barrier,
         40_000_000,
     );
     let (_, st) = &report.flows[0];
@@ -282,7 +277,7 @@ fn subscriber_model_runs_all_classes() {
         8_000_000,
     );
     assert_eq!(flows.len(), 3);
-    let report = run_once(&cp, &flows, None, 3, 1, EngineKind::Barrier, 30_000_000);
+    let report = run_once(&cp, &flows, None, 3, 1, 30_000_000);
     assert_conservation(&report);
     let started: u64 = report.flows.iter().map(|(_, s)| s.transfers_started).sum();
     assert!(started > 0, "population generated no transfers");
@@ -345,9 +340,9 @@ proptest! {
     /// Degenerate intervals — zeros, ones, near-`u64::MAX` — must not
     /// panic, wrap, stall, or (the subtle failure) drift: clamping has
     /// to happen in the sampler, identically on every shard, so the
-    /// report stays byte-identical across shards {1, 4} on both
-    /// engines. The flows stop after 20 µs because a clamped zero
-    /// interval emits every nanosecond.
+    /// report stays byte-identical across shards {1, 4}. The flows stop
+    /// after 20 µs because a clamped zero interval emits every
+    /// nanosecond.
     #[test]
     fn degenerate_intervals_are_shard_invariant(
         seed in 0u64..10_000,
@@ -362,7 +357,7 @@ proptest! {
             dst_addr: parse_addr(dst).unwrap(),
             payload_bytes: 200,
             precedence: 0,
-            pattern: pattern.clone(),
+            pattern: *pattern,
             start_ns: 0,
             stop_ns: 20_000,
             police: None,
@@ -371,25 +366,15 @@ proptest! {
             mk("fwd", 0, "10.1.0.5", "192.168.1.5", &fwd),
             mk("rev", 3, "192.168.1.5", "10.1.0.5", &rev),
         ];
-        let baseline = run_once(
-            &cp, &flows, None, seed, 1, EngineKind::Barrier, 2_000_000,
-        );
+        let baseline = run_once(&cp, &flows, None, seed, 1, 2_000_000);
         assert_conservation(&baseline);
         let baseline_json = serde_json::to_string(&baseline).expect("serializes");
-        for engine in [EngineKind::Barrier, EngineKind::Merge] {
-            for shards in [1usize, 4] {
-                if engine == EngineKind::Barrier && shards == 1 {
-                    continue;
-                }
-                let report = run_once(&cp, &flows, None, seed, shards, engine, 2_000_000);
-                let json = serde_json::to_string(&report).expect("serializes");
-                prop_assert_eq!(
-                    &baseline_json, &json,
-                    "degenerate intervals diverged at {} shards on the {} engine",
-                    shards, engine.name()
-                );
-            }
-        }
+        let report = run_once(&cp, &flows, None, seed, 4, 2_000_000);
+        let json = serde_json::to_string(&report).expect("serializes");
+        prop_assert_eq!(
+            &baseline_json, &json,
+            "degenerate intervals diverged at 4 shards"
+        );
     }
 }
 
@@ -397,8 +382,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The determinism gauntlet: random topology × closed-loop knobs ×
-    /// optional fault, byte-identical across shards {1,2,4} × engines
-    /// {barrier, merge}, conservation holding everywhere.
+    /// optional fault, byte-identical across shards {1,2,4},
+    /// conservation holding everywhere.
     #[test]
     fn closed_loop_is_byte_identical_across_shards_and_engines(
         seed in 0u64..10_000,
@@ -461,29 +446,20 @@ proptest! {
         });
         let horizon_ns = 30_000_000;
 
-        let baseline = run_once(
-            &cp, &flows, plan.as_ref(), seed, 1, EngineKind::Barrier, horizon_ns,
-        );
+        let baseline = run_once(&cp, &flows, plan.as_ref(), seed, 1, horizon_ns);
         assert_conservation(&baseline);
         let (_, cl_stats) = &baseline.flows[0];
         prop_assert!(cl_stats.sent > 0, "closed-loop flow never emitted");
         let baseline_json = serde_json::to_string(&baseline).expect("serializes");
 
-        for engine in [EngineKind::Barrier, EngineKind::Merge] {
-            for shards in [1usize, 2, 4] {
-                if engine == EngineKind::Barrier && shards == 1 {
-                    continue; // that's the baseline
-                }
-                let report = run_once(
-                    &cp, &flows, plan.as_ref(), seed, shards, engine, horizon_ns,
-                );
-                let json = serde_json::to_string(&report).expect("serializes");
-                prop_assert_eq!(
-                    &baseline_json, &json,
-                    "report diverged at {} shards on the {} engine",
-                    shards, engine.name()
-                );
-            }
+        for shards in [2usize, 4] {
+            let report = run_once(&cp, &flows, plan.as_ref(), seed, shards, horizon_ns);
+            let json = serde_json::to_string(&report).expect("serializes");
+            prop_assert_eq!(
+                &baseline_json, &json,
+                "report diverged at {} shards",
+                shards
+            );
         }
     }
 }

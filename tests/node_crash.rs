@@ -10,7 +10,8 @@ use mpls_dataplane::ftn::Prefix;
 use mpls_ldp::LdpConfig;
 use mpls_net::traffic::{FlowSpec, TrafficPattern};
 use mpls_net::{
-    FaultPlan, QueueDiscipline, RecoveryMode, RestorationPolicy, RouterKind, SimReport, Simulation,
+    ControlMode, FaultPlan, QueueDiscipline, RecoveryMode, RestorationPolicy, RouterKind,
+    SimReport, Simulation,
 };
 use mpls_packet::ipv4::parse_addr;
 
@@ -102,7 +103,7 @@ fn ldp_sessions_reestablish_after_node_crash() {
     sim.add_flow(flow("late", 65_000_000, 90_000_000));
     let report = sim.run(120_000_000);
 
-    assert_eq!(report.control.mode, "ldp");
+    assert_eq!(report.control.mode, ControlMode::Ldp);
     // figure1 has 6 links = 12 session ends at bring-up; the crash must
     // tear down both of node 2's sessions at the surviving ends and
     // re-establish all four ends after the restart.

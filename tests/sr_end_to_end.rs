@@ -14,14 +14,16 @@
 //!   signaling wave — and the fault record closes;
 //! - when loose-hop compression leaves multi-hop segments across an
 //!   equal-cost fabric, transit ECMP keyed by the RFC 6790 entropy
-//!   label picks byte-identical paths at every shard count and under
-//!   both execution engines: the entropy label is the *only* hash
-//!   input, so no per-shard state can leak into path choice.
+//!   label picks byte-identical paths at every shard count: the
+//!   entropy label is the *only* hash input, so no per-shard state can
+//!   leak into path choice.
 
 use mpls_control::{ControlPlane, LspRequest, Topology};
 use mpls_dataplane::ftn::Prefix;
 use mpls_net::traffic::{FlowSpec, TrafficPattern};
-use mpls_net::{EngineKind, FaultPlan, QueueDiscipline, RestorationPolicy, RouterKind, Simulation};
+use mpls_net::{
+    ControlMode, FaultPlan, QueueDiscipline, RestorationPolicy, RouterKind, Simulation,
+};
 use mpls_packet::ipv4::parse_addr;
 use mpls_router::SwTimingModel;
 use mpls_sr::SrConfig;
@@ -80,7 +82,7 @@ fn source_route_delivers_and_strips_metadata() {
     sim.add_flow(flow("app", 0, "10.0.0.1", "192.168.1.5", 20_000_000));
     let report = sim.run(1_000_000_000);
 
-    assert_eq!(report.control.mode, "sr");
+    assert_eq!(report.control.mode, ControlMode::Sr);
     let s = report.flow("app").unwrap();
     assert!(s.sent > 0);
     assert_eq!(s.delivered, s.sent, "strict source route must be lossless");
@@ -234,9 +236,9 @@ proptest! {
 
     /// ECMP path choice is a pure function of the entropy label: the
     /// serialized report — flow stats, per-router counters, telemetry —
-    /// is byte-identical across shard counts {1, 2, 4} and both
-    /// engines. Any per-shard RNG or wall-clock leakage into the hash
-    /// would split these bytes apart.
+    /// is byte-identical across shard counts {1, 2, 4}. Any per-shard
+    /// RNG or wall-clock leakage into the hash would split these bytes
+    /// apart.
     #[test]
     fn ecmp_choice_is_shard_and_engine_invariant(
         seed in 0u64..10_000,
@@ -245,10 +247,9 @@ proptest! {
     ) {
         let cp = fat_tree_plane();
         let cfg = SrConfig { max_push_depth: 3, ..SrConfig::default() };
-        let run = |shards: usize, engine: EngineKind| {
+        let run = |shards: usize| {
             let mut sim = build_sr(&cp, cfg, seed);
             sim.set_shards(shards);
-            sim.set_engine(engine);
             for i in 0..nflows {
                 let o = addr_salt as usize + i;
                 sim.add_flow(flow(
@@ -263,16 +264,11 @@ proptest! {
             let ecmp: u64 = report.routers.values().map(|r| r.ecmp_decisions).sum();
             (serde_json::to_string(&report).expect("report serializes"), ecmp)
         };
-        let (baseline, ecmp) = run(1, EngineKind::Barrier);
+        let (baseline, ecmp) = run(1);
         prop_assert!(ecmp > 0, "scenario must actually exercise ECMP");
         for shards in [1usize, 2, 4] {
-            for engine in [EngineKind::Barrier, EngineKind::Merge] {
-                let (json, _) = run(shards, engine);
-                prop_assert_eq!(
-                    &json, &baseline,
-                    "{} shards / {:?} diverged", shards, engine
-                );
-            }
+            let (json, _) = run(shards);
+            prop_assert_eq!(&json, &baseline, "{} shards diverged", shards);
         }
     }
 }
