@@ -1037,6 +1037,7 @@ impl Scenario {
                 .to_spec(self.seed)?
                 .build()
                 .map_err(|e| ScenarioError::Signal(format!("scale workload: {e:?}")))?;
+            self.check_ingresses(&w.cp)?;
             return Ok(w.cp);
         }
         if self.nodes.is_empty() {
@@ -1091,7 +1092,27 @@ impl Scenario {
                     .map_err(|e| ScenarioError::Signal(format!("lsp #{i} backup: {e:?}")))?;
             }
         }
+        self.check_ingresses(&cp)?;
         Ok(cp)
+    }
+
+    /// Rejects explicit flows and subscriber populations whose ingress
+    /// is not a node of `cp`'s topology: a source needs a router to
+    /// inject into.
+    fn check_ingresses(&self, cp: &ControlPlane) -> Result<(), ScenarioError> {
+        let flows = self.flows.iter().map(|f| ("flow", &f.name, f.ingress));
+        let pops = self
+            .subscribers
+            .iter()
+            .map(|s| ("subscribers", &s.name, s.ingress));
+        for (what, name, ingress) in flows.chain(pops) {
+            if cp.topology().node(ingress).is_none() {
+                return Err(ScenarioError::Invalid(format!(
+                    "{what} {name:?}: ingress {ingress} is not a topology node"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Translates the `faults` section against the built control plane
@@ -1519,6 +1540,19 @@ mod tests {
         assert!(matches!(
             sc.build_control_plane(),
             Err(ScenarioError::Invalid(_))
+        ));
+    }
+
+    /// Explicit flows are covered end to end in `tests/hostile_input.rs`.
+    #[test]
+    fn subscribers_on_an_unknown_ingress_are_rejected() {
+        let mut sc = Scenario::from_json(include_str!("../scenarios/closed_loop.json")).unwrap();
+        sc.subscribers[0].ingress = 77;
+        let name = sc.subscribers[0].name.clone();
+        assert!(matches!(
+            sc.build_control_plane(),
+            Err(ScenarioError::Invalid(m))
+                if m == format!("subscribers {name:?}: ingress 77 is not a topology node")
         ));
     }
 

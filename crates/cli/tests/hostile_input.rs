@@ -57,3 +57,33 @@ fn overflowing_time_fields_exit_with_an_error() {
         }
     }
 }
+
+/// A flow whose ingress is not a topology node has no router to inject
+/// into; both commands reject it by name instead of panicking in the
+/// engine.
+#[test]
+fn flow_on_an_unknown_ingress_exits_with_an_error() {
+    const EXAMPLE: &str = include_str!("../scenarios/example.json");
+    let doc = EXAMPLE.replacen(
+        "\"ingress\": 0,\n      \"src\"",
+        "\"ingress\": 9,\n      \"src\"",
+        1,
+    );
+    assert_ne!(doc, EXAMPLE, "substitution missed");
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("unknown-ingress.json");
+    std::fs::write(&path, doc).unwrap();
+    for cmd in ["run", "validate"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mpls-sim"))
+            .args([cmd, path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(
+            stderr.starts_with("error:")
+                && stderr.contains("flow \"voip\"")
+                && stderr.contains("ingress 9"),
+            "{cmd}: {stderr}"
+        );
+    }
+}

@@ -44,10 +44,7 @@ use mpls_telemetry::TelemetrySink;
 use partition::partition;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use shard::{
-    batch_limit, ChanState, ClosedLoopState, EmitState, FlowDelta, LocalEvent, ShardState,
-    SharedCtx,
-};
+use shard::{ChanState, ClosedLoopState, EmitState, FlowDelta, LocalEvent, ShardState, SharedCtx};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::marker::PhantomData;
@@ -161,13 +158,13 @@ pub(crate) struct Engine<S: TelemetrySink> {
     chan_link: Vec<LinkId>,
     /// `(owning shard, local index)` per global channel index.
     chan_owner: Vec<(usize, usize)>,
-    /// Shard of each channel's receiving node.
-    chan_dest_shard: Vec<usize>,
+    /// `(shard, local node index)` of each channel's receiving node.
+    chan_dest: Vec<(usize, u32)>,
     /// Liveness snapshot shards read; refreshed after channel mutations.
     chan_state: Vec<ChanState>,
     lookahead: SimTime,
-    /// Shard owning each flow's ingress node (ack destination).
-    flow_shard: Vec<usize>,
+    /// `(shard, local node index)` of each flow's ingress node.
+    flow_ingress: Vec<(usize, u32)>,
     /// Per closed-loop ingress: static shortest-path delay from every
     /// node that can reach it back to the ingress (see
     /// [`Engine::ack_distances`]). Empty when no flow is closed-loop.
@@ -220,9 +217,10 @@ impl<S: TelemetrySink> Engine<S> {
                 wheel: EventWheel::new(slot_ns),
                 nodes: Vec::new(),
                 node_local: HashMap::new(),
+                out_chans: Vec::new(),
                 channels: Vec::new(),
                 emit: Vec::new(),
-                emit_of_flow: HashMap::new(),
+                emit_of_flow: vec![usize::MAX; nflows],
                 stats: vec![FlowStats::default(); nflows],
                 outbox: Vec::new(),
                 foreign_fault_drops: vec![0; nchans],
@@ -230,10 +228,6 @@ impl<S: TelemetrySink> Engine<S> {
                 deltas: Vec::new(),
                 events_processed: 0,
                 last_time: 0,
-                batch: batch_limit(),
-                batch_items: Vec::new(),
-                batch_live: Vec::new(),
-                batch_outs: Vec::new(),
                 _sink: PhantomData,
             })
             .collect();
@@ -245,35 +239,42 @@ impl<S: TelemetrySink> Engine<S> {
                 sh.deltas = (0..nflows).map(|_| FlowDelta::new(&bounds)).collect();
             }
         }
+        // Where each node lives: its shard and its index in that shard's
+        // `nodes`, so events name the receiving router directly.
+        let mut node_at: HashMap<NodeId, (usize, u32)> = HashMap::new();
         for node in parts.nodes {
-            let sh = &mut shards[part.shard_of_node[&node.node_id()]];
-            sh.node_local.insert(node.node_id(), sh.nodes.len());
+            let s = part.shard_of_node[&node.node_id()];
+            let sh = &mut shards[s];
+            let local = sh.nodes.len();
+            sh.node_local.insert(node.node_id(), local);
+            node_at.insert(node.node_id(), (s, local as u32));
             sh.nodes.push(node);
+            sh.out_chans.push(Vec::new());
         }
+        let locate = |n: NodeId| node_at[&n];
         let ack_dist = Self::ack_distances(&parts.flows, &parts.channels);
-        let flow_shard: Vec<usize> = parts
+        let flow_ingress: Vec<(usize, u32)> = parts
             .flows
             .iter()
-            .map(|spec| part.shard_of_node[&spec.ingress])
+            .map(|spec| locate(spec.ingress))
             .collect();
+        let chan_dest: Vec<(usize, u32)> = parts.channels.iter().map(|c| locate(c.to)).collect();
         let mut chan_owner = Vec::with_capacity(nchans);
-        let mut chan_dest_shard = Vec::with_capacity(nchans);
         let mut chan_state = Vec::with_capacity(nchans);
-        for c in parts.channels {
-            let owner = part.shard_of_node[&c.from];
-            let dest = part.shard_of_node[&c.to];
-            chan_dest_shard.push(dest);
+        for (g, c) in parts.channels.into_iter().enumerate() {
+            let (owner, from) = locate(c.from);
             chan_state.push(ChanState {
                 up: c.up,
                 gen: c.gen,
             });
             let sh = &mut shards[owner];
+            sh.out_chans[from as usize].push((c.to, g));
             chan_owner.push((owner, sh.channels.len()));
             sh.channels.push(c);
         }
         for (f, (spec, policer)) in parts.flows.iter().zip(parts.policers).enumerate() {
-            let sh = &mut shards[part.shard_of_node[&spec.ingress]];
-            sh.emit_of_flow.insert(f, sh.emit.len());
+            let sh = &mut shards[flow_ingress[f].0];
+            sh.emit_of_flow[f] = sh.emit.len();
             let cl = match spec.pattern {
                 TrafficPattern::ClosedLoop(ref c) => Some(ClosedLoopState::new(c)),
                 _ => None,
@@ -307,10 +308,10 @@ impl<S: TelemetrySink> Engine<S> {
             chan_index: parts.chan_index,
             chan_link: parts.chan_link,
             chan_owner,
-            chan_dest_shard,
+            chan_dest,
             chan_state,
             lookahead: part.lookahead,
-            flow_shard,
+            flow_ingress,
             ack_dist,
             peeks: vec![None; nsh],
             now: 0,
@@ -459,13 +460,12 @@ impl<S: TelemetrySink> Engine<S> {
         let ctx = SharedCtx {
             flows: &self.flows,
             templates: &self.templates,
-            chan_index: &self.chan_index,
             chan_link: &self.chan_link,
             chan_state: &self.chan_state,
             chan_owner: &self.chan_owner,
-            chan_dest_shard: &self.chan_dest_shard,
+            chan_dest: &self.chan_dest,
             fault_of_link: &self.fault_of_link,
-            flow_shard: &self.flow_shard,
+            flow_ingress: &self.flow_ingress,
             ack_dist: &self.ack_dist,
         };
         if self.shards.len() == 1 {

@@ -35,7 +35,6 @@ use crate::sim::{FlowTemplate, SimPacket};
 use crate::stats::{FlowId, FlowStats};
 use crate::traffic::{ClosedLoopSpec, FlowSpec, TrafficPattern};
 use mpls_control::{LinkId, NodeId};
-use mpls_packet::MplsPacket;
 use mpls_router::{Action, DiscardCause, Forwarding, MplsForwarder};
 use mpls_telemetry::{Histogram, TelemetrySink};
 use rand::rngs::StdRng;
@@ -52,23 +51,6 @@ pub(crate) type EventKey = (u8, u64, u64);
 /// wire channel.
 const SOURCE_LANE: u64 = 1 << 32;
 
-/// Up to how many same-instant arrivals for one node drain as a single
-/// batch (`MPLS_SIM_BATCH`, default 32; 1 disables batching). A batch
-/// resolves the node once and streams the packets through its data
-/// plane back to back; the drain is a conditional peek at the wheel's
-/// head, so the consumed event sequence — and therefore the report —
-/// is identical at any batch bound.
-pub(crate) fn batch_limit() -> usize {
-    static B: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *B.get_or_init(|| {
-        std::env::var("MPLS_SIM_BATCH")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&b| b >= 1)
-            .unwrap_or(32)
-    })
-}
-
 /// A shard-local event.
 #[derive(Debug)]
 pub(crate) enum LocalEvent {
@@ -81,6 +63,9 @@ pub(crate) enum LocalEvent {
     Arrive {
         /// Receiving node.
         node: NodeId,
+        /// The receiving node's index in its shard's `nodes`, resolved
+        /// when the event is scheduled.
+        local: u32,
         /// The packet.
         packet: SimPacket,
         /// The (global channel index, incarnation) the packet traveled,
@@ -135,6 +120,7 @@ impl LocalEvent {
                 node,
                 ref packet,
                 via,
+                ..
             } => {
                 let lane = match via {
                     Some((chan, _)) => chan as u64,
@@ -173,19 +159,18 @@ pub(crate) struct SharedCtx<'a> {
     /// in flight carry only deltas; the wire image is materialized from
     /// here at the router boundary.
     pub templates: &'a [FlowTemplate],
-    pub chan_index: &'a HashMap<(NodeId, NodeId), usize>,
     pub chan_link: &'a [LinkId],
     /// Per-global-channel liveness snapshot.
     pub chan_state: &'a [ChanState],
     /// `(owning shard, local index)` of every global channel.
     pub chan_owner: &'a [(usize, usize)],
-    /// Shard owning each channel's *receiving* node.
-    pub chan_dest_shard: &'a [usize],
+    /// `(shard, local node index)` of each channel's *receiving* node.
+    pub chan_dest: &'a [(usize, u32)],
     /// Most recent fault record per link.
     pub fault_of_link: &'a HashMap<LinkId, usize>,
-    /// Shard owning each flow's ingress node — the destination of its
-    /// delivery acks.
-    pub flow_shard: &'a [usize],
+    /// `(shard, local node index)` of each flow's ingress node — where
+    /// its packets enter and its delivery acks return.
+    pub flow_ingress: &'a [(usize, u32)],
     /// Per closed-loop ingress: static shortest-path propagation delay
     /// from every reachable node back to that ingress, over the full
     /// (fault-free) channel graph. Lower-bounds nothing and is bounded
@@ -322,13 +307,19 @@ pub(crate) struct ShardState<S> {
     pub id: usize,
     pub wheel: EventWheel,
     pub nodes: Vec<Box<dyn MplsForwarder + Send>>,
+    /// Node id -> index in `nodes`, for the coordinator; events carry
+    /// the index itself.
     pub node_local: HashMap<NodeId, usize>,
+    /// Per entry of `nodes`: `(receiving node, global channel)` of every
+    /// channel it transmits on, in global channel order.
+    pub out_chans: Vec<Vec<(NodeId, usize)>>,
     /// Channels this shard transmits on (its nodes are the `from` ends).
     pub channels: Vec<Channel>,
     /// Traffic sources whose ingress lives here, by local index.
     pub emit: Vec<EmitState>,
-    /// Flow id -> local emit index.
-    pub emit_of_flow: HashMap<FlowId, usize>,
+    /// Flow id -> local emit index (`usize::MAX` for flows whose
+    /// ingress lives on another shard).
+    pub emit_of_flow: Vec<usize>,
     /// Full-width per-flow stats; only the flows this shard touched are
     /// non-zero. Folded with [`FlowStats::absorb`] at the end.
     pub stats: Vec<FlowStats>,
@@ -347,12 +338,6 @@ pub(crate) struct ShardState<S> {
     pub events_processed: u64,
     /// Timestamp of the most recently executed event.
     pub last_time: SimTime,
-    /// Batch drain bound (see [`batch_limit`]); reusable scratch
-    /// buffers keep the hot loop allocation-free.
-    pub batch: usize,
-    pub batch_items: Vec<(SimPacket, Option<(usize, u64)>)>,
-    pub batch_live: Vec<(MplsPacket, FlowId, u64, SimTime, bool, u64)>,
-    pub batch_outs: Vec<(Forwarding, FlowId, u64, SimTime, bool)>,
     pub _sink: PhantomData<fn() -> S>,
 }
 
@@ -364,29 +349,12 @@ impl<S: TelemetrySink> ShardState<S> {
             self.last_time = t;
             match ev {
                 LocalEvent::SourceEmit { flow } => self.on_source_emit(t, flow, ctx),
-                LocalEvent::Arrive { node, packet, via } => {
-                    // Same-instant arrivals for one node are consecutive
-                    // in canonical pop order (class 1, keyed by node);
-                    // drain them and stream the whole batch through the
-                    // router in one go. Arrival processing only schedules
-                    // later-class or later-time events, so nothing can
-                    // slot in between — the event sequence is exactly the
-                    // unbatched one.
-                    let mut items = std::mem::take(&mut self.batch_items);
-                    items.clear();
-                    items.push((packet, via));
-                    while items.len() < self.batch {
-                        match self.wheel.pop_arrival_for(t, node as u64) {
-                            Some(LocalEvent::Arrive { packet, via, .. }) => {
-                                self.events_processed += 1;
-                                items.push((packet, via));
-                            }
-                            _ => break,
-                        }
-                    }
-                    self.on_arrive_batch(t, node, &mut items, ctx);
-                    self.batch_items = items;
-                }
+                LocalEvent::Arrive {
+                    node,
+                    local,
+                    packet,
+                    via,
+                } => self.on_arrive(t, node, local as usize, packet, via, ctx),
                 LocalEvent::TransmitDone { channel, gen } => {
                     self.on_transmit_done(t, channel, gen, ctx)
                 }
@@ -411,7 +379,7 @@ impl<S: TelemetrySink> ShardState<S> {
             self.deltas[flow].sent += 1;
         }
         let packet = ctx.templates[flow].emit(flow, seq, now);
-        let li = self.emit_of_flow[&flow];
+        let li = self.emit_of_flow[flow];
         // Edge policing: non-conforming packets never enter the network.
         let conforms = match &mut self.emit[li].policer {
             Some(bucket) => bucket.conform(now, packet.wire_len()),
@@ -429,6 +397,7 @@ impl<S: TelemetrySink> ShardState<S> {
                 now,
                 LocalEvent::Arrive {
                     node: spec.ingress,
+                    local: ctx.flow_ingress[flow].1,
                     packet,
                     via: None,
                 },
@@ -453,7 +422,7 @@ impl<S: TelemetrySink> ShardState<S> {
     /// `now` — so an instant's canonical order is never re-entered.
     fn on_cl_emit(&mut self, now: SimTime, flow: FlowId, cl: &ClosedLoopSpec, ctx: &SharedCtx<'_>) {
         let spec = &ctx.flows[flow];
-        let li = self.emit_of_flow[&flow];
+        let li = self.emit_of_flow[flow];
         let st = self.emit[li]
             .cl
             .as_mut()
@@ -488,6 +457,7 @@ impl<S: TelemetrySink> ShardState<S> {
                 now,
                 LocalEvent::Arrive {
                     node: spec.ingress,
+                    local: ctx.flow_ingress[flow].1,
                     packet,
                     via: None,
                 },
@@ -528,7 +498,7 @@ impl<S: TelemetrySink> ShardState<S> {
         if now >= spec.stop_ns {
             return;
         }
-        let li = self.emit_of_flow[&flow];
+        let li = self.emit_of_flow[flow];
         let elapsed = now.saturating_sub(spec.start_ns);
         let gap = cl.next_arrival_gap(&mut self.emit[li].rng);
         let accepted = cl.accept(elapsed, &mut self.emit[li].rng);
@@ -561,7 +531,7 @@ impl<S: TelemetrySink> ShardState<S> {
         let TrafficPattern::ClosedLoop(cl) = spec.pattern else {
             return;
         };
-        let li = self.emit_of_flow[&flow];
+        let li = self.emit_of_flow[flow];
         let st = self.emit[li].cl.as_mut().expect("cl state");
         if !st.active {
             // Late ack of a transfer a spurious RTO already finished (the
@@ -637,7 +607,7 @@ impl<S: TelemetrySink> ShardState<S> {
         let TrafficPattern::ClosedLoop(cl) = spec.pattern else {
             return;
         };
-        let li = self.emit_of_flow[&flow];
+        let li = self.emit_of_flow[flow];
         let st = self.emit[li].cl.as_mut().expect("cl state");
         st.rto_live = false;
         if now >= spec.stop_ns {
@@ -673,68 +643,52 @@ impl<S: TelemetrySink> ShardState<S> {
         }
     }
 
-    /// Processes a drained batch of same-instant arrivals at `node`:
-    /// stale-incarnation losses are taken first, then the node's router
-    /// is resolved *once* and the surviving packets stream through its
-    /// data plane back to back, then the resulting actions apply in
-    /// packet order. Each phase preserves the per-packet order of the
-    /// unbatched loop, and no phase's effects feed an earlier phase, so
-    /// the outcome is identical to processing one event at a time.
-    fn on_arrive_batch(
+    /// Hands one arrival to its node's router and applies the decision.
+    fn on_arrive(
         &mut self,
         now: SimTime,
         node: NodeId,
-        items: &mut Vec<(SimPacket, Option<(usize, u64)>)>,
+        node_ix: usize,
+        packet: SimPacket,
+        via: Option<(usize, u64)>,
         ctx: &SharedCtx<'_>,
     ) {
-        let mut live = std::mem::take(&mut self.batch_live);
-        live.clear();
-        for (packet, via) in items.drain(..) {
-            // A packet that was on the wire when its link was cut never
-            // arrives: the channel's incarnation has moved on.
-            if let Some((chan, gen)) = via {
-                if ctx.chan_state[chan].gen != gen {
-                    let (owner, local) = ctx.chan_owner[chan];
-                    if owner == self.id {
-                        self.channels[local].fault_drops += 1;
-                    } else {
-                        self.foreign_fault_drops[chan] += 1;
-                    }
-                    self.count_fault_loss(ctx.chan_link[chan], packet.flow, ctx);
-                    continue;
+        // A packet that was on the wire when its link was cut never
+        // arrives: the channel's incarnation has moved on.
+        if let Some((chan, gen)) = via {
+            if ctx.chan_state[chan].gen != gen {
+                let (owner, local) = ctx.chan_owner[chan];
+                if owner == self.id {
+                    self.channels[local].fault_drops += 1;
+                } else {
+                    self.foreign_fault_drops[chan] += 1;
                 }
+                self.count_fault_loss(ctx.chan_link[chan], packet.flow, ctx);
+                return;
             }
-            let port = match via {
-                Some((chan, _)) => chan as u64,
-                // Same value as the event key's lane: stable across
-                // shard counts, disjoint from wire channel indices.
-                None => SOURCE_LANE + packet.flow as u64,
-            };
-            // The router boundary: materialize the wire packet from the
-            // flow's interned template plus the in-flight delta. The ECN
-            // mark rides alongside — routers don't read it.
-            let inner = ctx.templates[packet.flow].materialize(&packet.stack, packet.seq);
-            live.push((
-                inner,
-                packet.flow,
-                packet.seq,
-                packet.sent_ns,
-                packet.ecn,
-                port,
-            ));
         }
-        let mut outs = std::mem::take(&mut self.batch_outs);
-        outs.clear();
-        let li = self.node_local[&node];
-        let router = &mut self.nodes[li];
-        for (inner, flow, seq, sent_ns, ecn, port) in live.drain(..) {
-            outs.push((router.handle_on_port(inner, port), flow, seq, sent_ns, ecn));
-        }
-        for (out, flow, seq, sent_ns, ecn) in outs.drain(..) {
-            self.apply_forwarding(now, node, out, flow, seq, sent_ns, ecn, ctx);
-        }
-        self.batch_live = live;
-        self.batch_outs = outs;
+        let port = match via {
+            Some((chan, _)) => chan as u64,
+            // Same value as the event key's lane: stable across shard
+            // counts, disjoint from wire channel indices.
+            None => SOURCE_LANE + packet.flow as u64,
+        };
+        // The router boundary: materialize the wire packet from the
+        // flow's interned template plus the in-flight delta. The ECN mark
+        // rides alongside — routers don't read it.
+        let inner = ctx.templates[packet.flow].materialize(&packet.stack, packet.seq);
+        let out = self.nodes[node_ix].handle_on_port(inner, port);
+        self.apply_forwarding(
+            now,
+            node,
+            node_ix,
+            out,
+            packet.flow,
+            packet.seq,
+            packet.sent_ns,
+            packet.ecn,
+            ctx,
+        );
     }
 
     /// Applies one forwarding decision: transmit, deliver or account the
@@ -744,6 +698,7 @@ impl<S: TelemetrySink> ShardState<S> {
         &mut self,
         now: SimTime,
         node: NodeId,
+        node_ix: usize,
         out: Forwarding,
         flow: FlowId,
         seq: u64,
@@ -757,7 +712,13 @@ impl<S: TelemetrySink> ShardState<S> {
                 next,
                 packet: inner,
             } => {
-                let Some(&chan) = ctx.chan_index.get(&(node, next)) else {
+                // Scanned from the back: between parallel links the
+                // last-built channel carries the pair's traffic.
+                let Some(&(_, chan)) = self.out_chans[node_ix]
+                    .iter()
+                    .rev()
+                    .find(|&&(to, _)| to == next)
+                else {
                     // Misconfigured next hop onto a non-adjacent node.
                     self.stats[flow].on_discarded(DiscardCause::NoNextHop);
                     return;
@@ -805,7 +766,7 @@ impl<S: TelemetrySink> ShardState<S> {
                     if let Some(d) = d {
                         let at = done.saturating_add(d.max(1));
                         let ev = LocalEvent::Ack { flow, seq, ecn };
-                        let dest = ctx.flow_shard[flow];
+                        let dest = ctx.flow_ingress[flow].0;
                         if dest == self.id {
                             self.wheel.schedule(at, ev);
                         } else {
@@ -903,16 +864,18 @@ impl<S: TelemetrySink> ShardState<S> {
             self.stats[p.flow].on_discarded(DiscardCause::LinkLoss);
             return;
         }
+        let (dest, local) = ctx.chan_dest[chan];
         let ev = LocalEvent::Arrive {
             node: to,
+            local,
             packet: p,
             via: Some((chan, cur_gen)),
         };
         let at = now + delay;
-        if ctx.chan_dest_shard[chan] == self.id {
+        if dest == self.id {
             self.wheel.schedule(at, ev);
         } else {
-            self.outbox.push((at, ctx.chan_dest_shard[chan], ev));
+            self.outbox.push((at, dest, ev));
         }
     }
 

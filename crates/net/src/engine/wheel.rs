@@ -6,6 +6,11 @@
 //! key (see [`LocalEvent::key`]) is a canonical, sharding-invariant
 //! ordering, so the pop sequence — and therefore the simulation — is
 //! identical for any slot width and any partitioning of the topology.
+//!
+//! The ring, the overflow and the current heap move only 40-byte
+//! `(time, key, slot)` entries; the events themselves sit still in a
+//! slab until they pop, and a popped event's slot is reused by the next
+//! schedule.
 
 use super::shard::{EventKey, LocalEvent};
 use crate::event::SimTime;
@@ -18,7 +23,8 @@ const SLOTS: usize = 256;
 struct Entry {
     time: SimTime,
     key: EventKey,
-    ev: LocalEvent,
+    /// Index of the event in [`EventWheel::events`].
+    slot: u32,
 }
 
 impl PartialEq for Entry {
@@ -55,7 +61,10 @@ pub(crate) struct EventWheel {
     current: BinaryHeap<Entry>,
     /// Absolute index of the most recently loaded slot.
     cursor: u64,
-    len: usize,
+    /// Pending events, addressed by their entries' `slot`; `None` slots
+    /// are listed in `free`.
+    events: Vec<Option<LocalEvent>>,
+    free: Vec<u32>,
 }
 
 impl EventWheel {
@@ -69,24 +78,34 @@ impl EventWheel {
             overflow: BinaryHeap::new(),
             current: BinaryHeap::new(),
             cursor: 0,
-            len: 0,
+            events: Vec::new(),
+            free: Vec::new(),
         }
     }
 
     /// Schedules `ev` at absolute time `time`.
     pub fn schedule(&mut self, time: SimTime, ev: LocalEvent) {
         let key = ev.key();
-        let slot = time / self.slot_ns;
-        let e = Entry { time, key, ev };
-        if slot <= self.cursor {
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.events[s as usize] = Some(ev);
+                s
+            }
+            None => {
+                self.events.push(Some(ev));
+                u32::try_from(self.events.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        let e = Entry { time, key, slot };
+        let wslot = time / self.slot_ns;
+        if wslot <= self.cursor {
             self.current.push(e);
-        } else if slot - self.cursor < SLOTS as u64 {
-            self.ring[(slot % SLOTS as u64) as usize].push(e);
+        } else if wslot - self.cursor < SLOTS as u64 {
+            self.ring[(wslot % SLOTS as u64) as usize].push(e);
             self.ring_len += 1;
         } else {
             self.overflow.push(e);
         }
-        self.len += 1;
     }
 
     /// Makes `current` hold the globally earliest pending event (if any
@@ -104,9 +123,7 @@ impl EventWheel {
             let idx = (self.cursor % SLOTS as u64) as usize;
             let drained = self.ring[idx].len();
             self.ring_len -= drained;
-            for e in self.ring[idx].drain(..) {
-                self.current.push(e);
-            }
+            self.current.extend(self.ring[idx].drain(..));
             while self
                 .overflow
                 .peek()
@@ -126,8 +143,9 @@ impl EventWheel {
             return None;
         }
         let e = self.current.pop().expect("peeked");
-        self.len -= 1;
-        Some((e.time, e.ev))
+        let ev = self.events[e.slot as usize].take().expect("live slot");
+        self.free.push(e.slot);
+        Some((e.time, ev))
     }
 
     /// Timestamp of the earliest pending event.
@@ -136,38 +154,21 @@ impl EventWheel {
         self.current.peek().map(|e| e.time)
     }
 
-    /// Pops the head event only if it is an `Arrive` for `node` at
-    /// exactly `time` — the batching drain. Because the head is what
-    /// [`EventWheel::pop_next`] would return anyway, draining with this
-    /// method consumes the identical event sequence the unbatched loop
-    /// would, one conditional peek at a time.
-    pub fn pop_arrival_for(&mut self, time: SimTime, node: u64) -> Option<LocalEvent> {
-        self.refill();
-        let head = self.current.peek()?;
-        let (class, a, _) = head.key;
-        if head.time != time || class != 1 || a != node {
-            return None;
-        }
-        let e = self.current.pop().expect("peeked");
-        self.len -= 1;
-        Some(e.ev)
-    }
-
     /// Number of pending events.
-    #[cfg_attr(not(test), allow(dead_code))]
     pub fn len(&self) -> usize {
-        self.len
+        self.events.len() - self.free.len()
     }
 
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tick(flow: usize) -> LocalEvent {
         LocalEvent::SourceEmit { flow }
@@ -203,29 +204,12 @@ mod tests {
     }
 
     #[test]
-    fn pop_arrival_for_drains_only_the_matching_head() {
-        use crate::sim::tests_support::packet_with_cos;
-        let arrive = |node: u32, chan: usize| LocalEvent::Arrive {
-            node,
-            packet: packet_with_cos(0, 0),
-            via: Some((chan, 0)),
-        };
-        let mut w = EventWheel::new(100);
-        w.schedule(50, arrive(7, 1));
-        w.schedule(50, arrive(7, 3));
-        w.schedule(50, arrive(8, 2));
-        w.schedule(60, arrive(7, 0));
-        // Wrong node and wrong time never drain.
-        assert!(w.pop_arrival_for(50, 9).is_none());
-        assert!(w.pop_arrival_for(60, 7).is_none(), "60 is not the head");
-        // The two node-7 arrivals at t=50 drain in lane order; the
-        // node-8 arrival then blocks the drain.
-        assert!(w.pop_arrival_for(50, 7).is_some());
-        assert!(w.pop_arrival_for(50, 7).is_some());
-        assert!(w.pop_arrival_for(50, 7).is_none());
-        assert_eq!(w.pop_next(SimTime::MAX).map(|(t, _)| t), Some(50));
-        assert_eq!(w.pop_next(SimTime::MAX).map(|(t, _)| t), Some(60));
-        assert!(w.is_empty());
+    fn entries_stay_small_whatever_the_event_size() {
+        assert_eq!(std::mem::size_of::<Entry>(), 40);
+        assert!(
+            std::mem::size_of::<LocalEvent>() > 100,
+            "events live out of line"
+        );
     }
 
     #[test]
@@ -241,5 +225,92 @@ mod tests {
         assert_eq!(w.pop_next(16).map(|(t, _)| t), Some(15));
         assert_eq!(w.pop_next(16).map(|(t, _)| t), Some(15));
         assert!(w.is_empty());
+    }
+
+    /// An event of key class `class` (0–5 map onto the six variants)
+    /// with key components drawn from `a` and `b`.
+    fn event_of(class: u8, a: u64, b: u64) -> LocalEvent {
+        use crate::sim::tests_support::packet_with_cos;
+        let (a, b) = (a as usize, b as usize);
+        match class {
+            0 => tick(a),
+            1 => LocalEvent::Arrive {
+                node: a as u32,
+                local: 0,
+                packet: packet_with_cos(0, 0),
+                via: Some((b, 0)),
+            },
+            2 => LocalEvent::TransmitDone {
+                channel: a,
+                gen: b as u64,
+            },
+            3 => LocalEvent::Ack {
+                flow: a,
+                seq: b as u64,
+                ecn: false,
+            },
+            4 => LocalEvent::XferArrive { flow: a },
+            _ => LocalEvent::RtoCheck { flow: a },
+        }
+    }
+
+    proptest! {
+        /// Random interleavings of `schedule` and `pop_next` pop exactly
+        /// the `(time, key)` sequence of a sorted reference, with times in
+        /// the current slot, the ring and the overflow and many
+        /// same-instant keys of every class; freed slab slots are reused,
+        /// so the slab never outgrows the peak number of pending events.
+        #[test]
+        fn pops_match_a_sorted_reference(
+            ops in proptest::collection::vec(
+                (0u8..10, 0u64..1_000_000, 0u8..6, 0u64..3, 0u64..3),
+                1..600,
+            ),
+        ) {
+            use std::collections::BTreeMap;
+            let mut w = EventWheel::new(100);
+            let mut reference: BTreeMap<(SimTime, EventKey), ()> = BTreeMap::new();
+            let mut clock: SimTime = 0;
+            let mut peak = 0usize;
+            for (op, r, class, a, b) in ops {
+                if op < 7 {
+                    // Same instant, same slot, in the ring window (256
+                    // slots of 100 ns) or beyond it, past the clock.
+                    let time = clock + match op {
+                        0 | 1 => 0,
+                        2 | 3 => r % 100,
+                        4 | 5 => r % 25_600,
+                        _ => r,
+                    };
+                    let ev = event_of(class, a, b);
+                    if reference.insert((time, ev.key()), ()).is_none() {
+                        w.schedule(time, ev);
+                    }
+                    peak = peak.max(reference.len());
+                } else {
+                    let before = clock + r % 50_000;
+                    let want = reference
+                        .keys()
+                        .next()
+                        .copied()
+                        .filter(|&(t, _)| t < before);
+                    let got = w.pop_next(before).map(|(t, ev)| (t, ev.key()));
+                    prop_assert_eq!(got, want);
+                    if let Some(k) = want {
+                        reference.remove(&k);
+                        clock = k.0;
+                    }
+                }
+                prop_assert_eq!(w.len(), reference.len());
+                prop_assert!(w.events.len() <= peak, "slab {} > peak {}", w.events.len(), peak);
+            }
+            // Drain: the remainder pops in reference order too.
+            prop_assert_eq!(w.peek_time(), reference.keys().next().map(|&(t, _)| t));
+            let rest: Vec<(SimTime, EventKey)> =
+                std::iter::from_fn(|| w.pop_next(SimTime::MAX).map(|(t, ev)| (t, ev.key())))
+                    .collect();
+            prop_assert_eq!(rest, reference.into_keys().collect::<Vec<_>>());
+            prop_assert!(w.is_empty());
+        }
     }
 }

@@ -1091,6 +1091,47 @@ mod tests {
     }
 
     #[test]
+    fn parallel_links_forward_on_the_last_declared_channel() {
+        // Two links between the same pair: the router names only the
+        // next-hop node, so the channel is the pair's last-built one —
+        // link 1's forward direction, global channel 2.
+        let mut topo = Topology::new();
+        topo.add_node(0, mpls_control::RouterRole::Ler, "west");
+        topo.add_node(1, mpls_control::RouterRole::Ler, "east");
+        for delay_ns in [100_000, 300_000] {
+            topo.add_link(mpls_control::LinkSpec {
+                a: 0,
+                b: 1,
+                cost: 1,
+                bandwidth_bps: 1_000_000_000,
+                delay_ns,
+            });
+        }
+        let mut cp = ControlPlane::new(topo);
+        cp.establish_lsp(LspRequest::best_effort(
+            0,
+            1,
+            Prefix::new(parse_addr("192.168.1.0").unwrap(), 24),
+        ))
+        .unwrap();
+        let mut sim = Simulation::build(
+            &cp,
+            RouterKind::SoftwareHash {
+                timing: SwTimingModel::default(),
+            },
+            QueueDiscipline::Fifo { capacity: 64 },
+            1,
+        );
+        sim.add_flow(cbr_flow("cbr", 1_000_000));
+        let report = sim.run(1_000_000_000);
+        let s = report.flow("cbr").unwrap();
+        assert_eq!(s.delivered, 10);
+        let carried: Vec<u64> = report.links.iter().map(|l| l.transmitted).collect();
+        assert_eq!(carried, vec![0, 0, 10, 0]);
+        assert!(s.mean_delay_ns() > 300_000.0, "{}", s.mean_delay_ns());
+    }
+
+    #[test]
     fn sharded_run_is_byte_identical_to_sequential() {
         // A hostile mix for parallel determinism: stochastic arrivals,
         // an outage with re-signaling, random wire loss and telemetry,
