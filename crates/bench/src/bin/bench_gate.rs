@@ -16,7 +16,7 @@
 //! markdown fragment — the table CI posts as a PR comment.
 //!
 //! A file is either one section (`{"bench": ..., rows: [...]}`, the
-//! standalone `--json` shape) or a combined suite document
+//! shape of the early `BENCH_6.json`) or a combined suite document
 //! (`{"bench": "all", "sections": [...]}`). Rows are keyed by their
 //! section's bench id + config plus every row field that is not a
 //! measurement (`events`, `wall_ms`, `events_per_sec`), so points taken

@@ -41,7 +41,8 @@ pub struct Section {
 
 impl Section {
     /// The section as one JSON object: `bench`, the flattened config,
-    /// then `rows` — the same shape the standalone `--json` files use.
+    /// then `rows` — the same shape as the early single-section
+    /// trajectory files (`BENCH_6.json`).
     pub fn to_json(&self) -> Value {
         let mut entries = vec![("bench".to_string(), Value::Str(self.bench.into()))];
         entries.extend(self.config.iter().cloned());

@@ -958,7 +958,6 @@ pub enum RouterDecl {
     /// Software fast path: hash FIB with canonical (linear-equivalent)
     /// probe counts plus a per-ingress flow cache. Reports are
     /// byte-identical to `software_linear`; only the host runs faster.
-    /// `MPLS_SIM_FLOW_CACHE=0` disables the cache,
     /// `MPLS_SIM_DIFF_LOOKUP=1` cross-checks every lookup against a
     /// shadow linear table.
     SoftwareFast,
